@@ -37,7 +37,6 @@ from .pipeline import (
     partition_extract,
     pigeonhole_extract,
     progression_pairs,
-    verified_triple,
 )
 from .textio import (
     SetFormatError,

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import dump_window1d
+from .textio import canonical_int, dump_window1d
 from .vdw import vdw_number
 from .windows import (
     Scale,
@@ -208,7 +208,7 @@ class _Reader:
         out = []
         for f in fields:
             try:
-                out.append(int(f))
+                out.append(canonical_int(f))
             except ValueError:
                 raise CertificateParseError(
                     self.lastline, f"malformed integer {f!r} in {key}"

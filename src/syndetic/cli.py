@@ -2,7 +2,8 @@
 
 Every output document starts with a ``# runconfig`` header echoing the
 full configuration; re-running a command with that configuration
-reproduces the document byte for byte, for any worker count.
+reproduces the document byte for byte.  ``--workers`` is validated and
+echoed but changes neither speed nor output.
 
 Exit codes: 0 success, 1 negative verdict, 2 budget exhausted,
 3 precondition failure, 64 usage error.
@@ -23,7 +24,7 @@ from .certificate import (
 from .generators import KINDS, gen_example
 from .pipeline import ConstructionError, fg_construct
 from .textio import SetFormatError, dump_vdw_result, dump_window1d, load_window1d
-from .vdw import DEFAULT_BUDGET, vdw_number
+from .vdw import DEFAULT_BUDGET, BudgetExhaustedError, vdw_number
 from .windows import Scale, WindowError, is_ps_at_scale
 
 EXIT_OK = 0
@@ -205,6 +206,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -218,8 +221,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except RuntimeError as exc:
-        # budget exhaustion from search-backed stages
+    except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:

@@ -11,13 +11,11 @@ offset*step + shift, stride*step).  Every pair (a, d) of the image then
 satisfies a + i*d in S for i = 0..steps, which the certificate module
 re-derives from scratch.
 
-All stages are pure functions on immutable values; per-class scoring may
-fan out over threads without changing any output.
+All stages are pure functions on immutable values.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +52,6 @@ __all__ = [
     "PairSet",
     "PartitionWitness",
     "progression_pairs",
-    "verified_triple",
     "color_classes",
     "pigeonhole_extract",
     "affine_image",
@@ -82,8 +79,9 @@ class ScalePreconditionError(ConstructionError):
 
 
 class PhiSearchError(ConstructionError):
-    """No verified triple exists for a pair: the span was not a valid
-    van der Waerden witness for this input."""
+    """No verified triple exists for a pair, so the span was not a valid
+    van der Waerden witness for this input; or a constructed result failed
+    its own re-check."""
 
 
 class PartitionError(ValueError):
@@ -168,13 +166,13 @@ def progression_pairs(
     u = shifted_union_1d(s, radius)
     starts = np.arange(x_lo, x_hi, dtype=np.int64)[:, None]
     steps_ax = np.arange(y_lo, y_hi, dtype=np.int64)[None, :]
-    feasible = np.ones((x_hi - x_lo, y_hi - y_lo), dtype=bool)
-    member = np.ones_like(feasible)
+    # probes are linear in i, so all of them land in the window exactly
+    # when the first (i = 0) and the last (i = span) do
+    last = starts + span * steps_ax
+    feasible = (starts >= u.lo) & (starts < u.hi) & (last >= u.lo) & (last < u.hi)
+    member = np.ones(feasible.shape, dtype=bool)
     for i in range(span + 1):
-        probes = starts + i * steps_ax
-        inside = (probes >= u.lo) & (probes < u.hi)
-        feasible &= inside
-        member &= u.members_at(probes, outside="false")
+        member &= u.members_at(starts + i * steps_ax, outside="false")
     if not feasible.any():
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "
@@ -182,46 +180,6 @@ def progression_pairs(
         )
     pairs = WindowSet2D(x_lo, x_hi, y_lo, y_hi, member)
     return PairSet(pairs=pairs, boundary_excluded=int((~feasible).sum()))
-
-
-def verified_triple(
-    s: WindowSet1D,
-    start: int,
-    step: int,
-    *,
-    radius: int,
-    span: int,
-    steps: int,
-    union: WindowSet1D | None = None,
-) -> ColorTriple:
-    """Reference per-pair labeling: the least triple whose sub-progression
-    verifies by direct membership in s.
-
-    Candidates with any probe outside s's window are rejected, so the
-    returned triple is always fully verified.  Raises PhiSearchError when
-    nothing verifies, which means the span was not a valid witness.
-    """
-    u = union if union is not None else shifted_union_1d(s, radius)
-    for i in range(span + 1):
-        p = start + i * step
-        if not (u.covers(p) and u.contains(p)):
-            raise ValueError(
-                f"pair ({start}, {step}) is not a progression pair: probe {p} "
-                f"misses the shifted union"
-            )
-    for triple in _triples(radius, span, steps):
-        ok = True
-        for i in range(steps + 1):
-            p = start + (triple.offset + i * triple.stride) * step + triple.shift
-            if not (s.covers(p) and s.contains(p)):
-                ok = False
-                break
-        if ok:
-            return triple
-    raise PhiSearchError(
-        f"no verified triple for pair ({start}, {step}); span {span} is not a "
-        f"valid van der Waerden witness here"
-    )
 
 
 def color_classes(
@@ -234,7 +192,8 @@ def color_classes(
 ) -> dict[ColorTriple, WindowSet2D]:
     """Partition the pair set by its least verified triple.
 
-    Vectorized over pairs; agrees point for point with verified_triple.
+    A pair's label is the least triple (shift-major, then stride, then
+    offset) whose sub-progression verifies by membership in s.
     Only nonempty classes appear as keys, so the values partition the
     input and their cardinalities sum to its count.
     """
@@ -280,16 +239,19 @@ def pigeonhole_extract(
     workers: int = 1,
 ) -> tuple[ColorTriple, WindowSet2D, int]:
     """Class with the best 2D scale at radius_2d; ties go to the least
-    triple.  Returns (triple, class, achieved scale)."""
+    triple.  Returns (triple, class, achieved scale).
+
+    Scoring is sequential; ``workers`` is validated and accepted so that
+    callers may pass a worker count, but it changes neither speed nor
+    result.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not classes:
         raise ValueError("no classes to extract from")
     items = sorted(classes.items(), key=lambda kv: kv[0].sort_key())
     sets = [cls for _, cls in items]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(lambda c: ps_scale_2d(c, radius_2d), sets))
-    else:
-        scores = [ps_scale_2d(c, radius_2d) for c in sets]
+    scores = [ps_scale_2d(c, radius_2d) for c in sets]
     if max(scores) == 0 and all(c.is_empty() for c in sets):
         raise ValueError("all classes are empty")
     best = max(range(len(items)), key=lambda i: (scores[i], -i))
@@ -503,7 +465,8 @@ def partition_extract(
             found_radius = r
             break
     witness = is_ps_at_scale(chosen, Scale(found_radius, length))
-    assert witness is not None, "witness failed its own re-verification"
+    if witness is None:
+        raise PhiSearchError("partition witness fails its own re-verification")
     return PartitionWitness(
         index=best, scale=Scale(found_radius, length), start=witness.start,
         scores=scores,

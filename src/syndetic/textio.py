@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .vdw import Coloring, VdwResult
-from .windows import WindowSet1D, WindowSet2D
+from .windows import WindowSet1D, WindowSet2D, run_edges
 
 __all__ = [
     "SetFormatError",
+    "canonical_int",
     "dump_window1d",
     "load_window1d",
     "dump_window2d",
@@ -32,13 +33,6 @@ class SetFormatError(ValueError):
         self.lineno = lineno
 
 
-def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return [(int(a), int(b)) for a, b in zip(starts, ends)]
-
-
 def _significant_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -47,22 +41,33 @@ def _significant_lines(text: str):
         yield lineno, line
 
 
+def canonical_int(field: str) -> int:
+    """The integer a field spells in the one form the writers emit, so that
+    parsed documents re-serialize to the same bytes; ValueError otherwise."""
+    value = int(field)
+    if str(value) != field:
+        raise ValueError(f"non-canonical integer {field!r}")
+    return value
+
+
 def _ints(lineno: int, fields: list[str], expect: int, what: str) -> list[int]:
     if len(fields) != expect:
         raise SetFormatError(lineno, f"{what} expects {expect} fields, got {len(fields)}")
     out = []
     for f in fields:
         try:
-            out.append(int(f))
+            out.append(canonical_int(f))
         except ValueError:
             raise SetFormatError(lineno, f"malformed integer {f!r}") from None
     return out
 
 
 def dump_window1d(s: WindowSet1D) -> str:
+    starts, ends = run_edges(s.mask)
     lines = [f"window1d {s.lo} {s.hi}"]
-    for a, b in _mask_runs(s.mask):
-        lines.append(f"run {s.lo + a} {s.lo + b}")
+    lines += [
+        f"run {a} {b}" for a, b in zip((starts + s.lo).tolist(), (ends + s.lo).tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -95,7 +100,8 @@ def load_window1d(text: str) -> WindowSet1D:
 def dump_window2d(m: WindowSet2D) -> str:
     lines = [f"window2d {m.x_lo} {m.x_hi} {m.y_lo} {m.y_hi}"]
     for iy in range(m.y_hi - m.y_lo):
-        for a, b in _mask_runs(m.mask[:, iy]):
+        starts, ends = run_edges(m.mask[:, iy])
+        for a, b in zip(starts.tolist(), ends.tolist()):
             lines.append(f"rowrun {m.y_lo + iy} {m.x_lo + a} {m.x_lo + b}")
     return "\n".join(lines) + "\n"
 

@@ -128,7 +128,8 @@ def find_mono_ap(coloring: Coloring, terms: int) -> MonoAP | None:
             c = vals[start]
             if all(vals[start + j * step] == c for j in range(1, terms)):
                 hit = APIndex(start, step, terms)
-                assert all(vals[i] == c for i in hit.indices())
+                if any(vals[i] != c for i in hit.indices()):
+                    raise RuntimeError(f"progression {hit} fails its re-read")
                 return MonoAP(hit, c)
     return None
 
@@ -221,8 +222,8 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
             pending.append(1)
 
     extremal = Coloring(tuple(best), colors)
-    hit = find_mono_ap(extremal, terms)
-    assert hit is None, "extremal coloring fails its own verification"
+    if find_mono_ap(extremal, terms) is not None:
+        raise RuntimeError("extremal coloring fails its own verification")
     result = VdwResult(
         n=len(best) + 1,
         extremal=extremal,

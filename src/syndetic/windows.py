@@ -29,6 +29,7 @@ __all__ = [
     "PSWitness1D",
     "WindowSet1D",
     "WindowSet2D",
+    "run_edges",
     "contains_interval",
     "max_run_length",
     "shifted_union_1d",
@@ -291,28 +292,6 @@ class WindowSet2D:
             )
         return bool(self._mask[x - self.x_lo, y - self.y_lo])
 
-    def members_at(self, xs, ys, *, outside: str = "raise") -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        inside = (
-            (xs >= self.x_lo) & (xs < self.x_hi) & (ys >= self.y_lo) & (ys < self.y_hi)
-        )
-        if outside == "raise":
-            if not inside.all():
-                i = int(np.flatnonzero(~inside)[0])
-                raise WindowError(
-                    f"query ({xs.flat[i]}, {ys.flat[i]}) outside box"
-                )
-            return self._mask[xs - self.x_lo, ys - self.y_lo]
-        if outside == "false":
-            out = np.zeros(xs.shape, dtype=bool)
-            if inside.any():
-                ix = np.where(inside, xs - self.x_lo, 0)
-                iy = np.where(inside, ys - self.y_lo, 0)
-                out = inside & self._mask[ix, iy]
-            return out
-        raise ValueError(f"outside must be 'raise' or 'false', got {outside!r}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowSet2D):
             return NotImplemented
@@ -332,6 +311,13 @@ class WindowSet2D:
 # 1D predicates
 
 
+def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the maximal runs of a 1D boolean mask, in
+    order; run j covers mask indices [starts[j], ends[j])."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def contains_interval(s: WindowSet1D, length: int) -> int | None:
     """Leftmost start of a run of ``length`` consecutive members, if any.
 
@@ -340,25 +326,17 @@ def contains_interval(s: WindowSet1D, length: int) -> int | None:
     length = _as_int("length", length)
     if length < 1:
         raise ValueError(f"interval length must be >= 1, got {length}")
-    if length > s.width:
+    starts, ends = run_edges(s.mask)
+    long_enough = np.flatnonzero(ends - starts >= length)
+    if long_enough.size == 0:
         return None
-    c = np.concatenate(([0], np.cumsum(s.mask, dtype=np.int64)))
-    sums = c[length:] - c[:-length]
-    idx = np.flatnonzero(sums == length)
-    if idx.size == 0:
-        return None
-    return s.lo + int(idx[0])
+    return s.lo + int(starts[long_enough[0]])
 
 
 def max_run_length(s: WindowSet1D) -> int:
     """Length of the longest run of consecutive members; 0 if empty."""
-    m = s.mask
-    if not m.any():
-        return 0
-    edges = np.diff(np.concatenate(([0], m.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return int((ends - starts).max())
+    starts, ends = run_edges(s.mask)
+    return int((ends - starts).max(initial=0))
 
 
 def shifted_union_1d(s: WindowSet1D, radius: int) -> WindowSet1D:
@@ -428,22 +406,11 @@ def shifted_union_2d(m: WindowSet2D, radius: int) -> WindowSet2D:
     return WindowSet2D(m.x_lo - radius, m.x_hi - 1, m.y_lo - radius, m.y_hi - 1, out)
 
 
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    ii = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    ii[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    return ii
-
-
-def _first_full_square(ii: np.ndarray, side: int) -> tuple[int, int] | None:
-    wx = ii.shape[0] - 1
-    wy = ii.shape[1] - 1
-    if side > wx or side > wy:
-        return None
-    sums = ii[side:, side:] - ii[:-side, side:] - ii[side:, :-side] + ii[:-side, :-side]
-    hits = np.argwhere(sums == side * side)
-    if hits.shape[0] == 0:
-        return None
-    return int(hits[0, 0]), int(hits[0, 1])
+def _erode(sq: np.ndarray) -> np.ndarray:
+    """Keep cell (i, j) only when the 2x2 block starting there is full: if
+    sq marks the corners of full side-L squares, the result marks the
+    corners of full side-(L+1) squares."""
+    return sq[:-1, :-1] & sq[1:, :-1] & sq[:-1, 1:] & sq[1:, 1:]
 
 
 def contains_square(m: WindowSet2D, side: int) -> tuple[int, int] | None:
@@ -452,27 +419,25 @@ def contains_square(m: WindowSet2D, side: int) -> tuple[int, int] | None:
     side = _as_int("side", side)
     if side < 1:
         raise ValueError(f"square side must be >= 1, got {side}")
-    hit = _first_full_square(_integral_image(m.mask), side)
-    if hit is None:
+    sq = m.mask
+    if side > min(sq.shape):
         return None
-    return (m.x_lo + hit[0], m.y_lo + hit[1])
+    for _ in range(side - 1):
+        sq = _erode(sq)
+    hits = np.flatnonzero(sq)
+    if hits.size == 0:
+        return None
+    # row-major order is lexicographic order on (x, y)
+    x, y = divmod(int(hits[0]), sq.shape[1])
+    return (m.x_lo + x, m.y_lo + y)
 
 
 def ps_scale_2d(m: WindowSet2D, radius: int) -> int:
     """Largest side of a filled square inside the 2D shifted union; 0 if
     the set is empty."""
-    if m.is_empty():
-        return 0
-    u = shifted_union_2d(m, radius)
-    ii = _integral_image(u.mask)
-    lo, hi = 1, min(u.x_hi - u.x_lo, u.y_hi - u.y_lo)
-    best = 0
-    # "a filled square of side L exists" is monotone decreasing in L
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _first_full_square(ii, mid) is not None:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+    sq = shifted_union_2d(m, radius).mask
+    side = 0
+    while sq.any():
+        side += 1
+        sq = _erode(sq)
+    return side

@@ -35,6 +35,21 @@ def max_run(members: set[int], lo: int, hi: int) -> int:
     return best
 
 
+def runs(members: set[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Maximal runs [a, b) of consecutive members, in order."""
+    out = []
+    m = lo
+    while m < hi:
+        if m in members:
+            a = m
+            while m < hi and m in members:
+                m += 1
+            out.append((a, m))
+        else:
+            m += 1
+    return out
+
+
 def ps_scale_1d(members: set[int], lo: int, hi: int, radius: int) -> int:
     u, ulo, uhi = shifted_union_1d(members, lo, hi, radius)
     return max_run(u, ulo, uhi)

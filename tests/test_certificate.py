@@ -59,9 +59,21 @@ class TestSerializeParse:
             parse("\n".join(lines) + "\n")
 
     def test_malformed_integer_rejected(self, striped_cert):
-        doc = serialize(striped_cert).replace("span 8", "span eight")
-        with pytest.raises(CertificateParseError, match="malformed integer"):
-            parse(doc)
+        # int() accepts all but the first spelling; only canonical ones parse
+        good = serialize(striped_cert)
+        for old, new in [
+            ("\nspan 8\n", "\nspan eight\n"),
+            ("\nr 2\n", "\nr \u0662\n"),
+            ("\nr 2\n", "\nr 0_2\n"),
+            ("\nr 2\n", "\nr +2\n"),
+            ("\nr 2\n", "\nr 02\n"),
+            ("\npt 0 0\n", "\npt -0 0\n"),
+            ("\npair_count 1352\n", "\npair_count 1_352\n"),
+        ]:
+            doc = good.replace(old, new)
+            assert doc != good
+            with pytest.raises(CertificateParseError, match="malformed integer"):
+                parse(doc)
 
     def test_unknown_key_rejected(self, striped_cert):
         doc = serialize(striped_cert).replace("pair_count", "pair_total")

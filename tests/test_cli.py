@@ -47,6 +47,13 @@ class TestVdwCommand:
         assert code == 64
         assert "budget" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, capsys, workers):
+        code, out, err = run(capsys, "vdw", "2", "3", "--workers", workers)
+        assert code == 64
+        assert "--workers: must be >= 1" in err
+        assert out == ""
+
 
 class TestCheckCommand:
     def test_full_window_witness(self, tmp_path, capsys):
@@ -100,8 +107,21 @@ class TestConstructAndVerify:
 
     def test_tiny_budget_exits_two(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
-        code, _, err = run(capsys, "construct", setp, "2", "2", "--budget", "3")
-        assert code == 2
+        for budget in ("3", "10"):
+            code, _, err = run(capsys, "construct", setp, "2", "2", "--budget", budget)
+            assert code == 2
+            assert "exhausted its budget" in err
+
+    def test_other_runtime_errors_are_not_budget_exhaustion(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal self-check failed")
+
+        monkeypatch.setattr("syndetic.cli.fg_construct", broken)
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["construct", setp, "2", "2"])
 
     def test_verify_detects_corruption(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))

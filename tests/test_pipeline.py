@@ -19,7 +19,6 @@ from syndetic.pipeline import (
     partition_extract,
     pigeonhole_extract,
     progression_pairs,
-    verified_triple,
 )
 from syndetic.vdw import BudgetExhaustedError
 from syndetic.windows import (
@@ -67,31 +66,46 @@ class TestProgressionPairs:
             progression_pairs(s, 1, 3, (500, 520, 1, 5))
 
 
+def naive_labels(s, pairs, radius, span, steps):
+    """Per-pair least verified triple from the brute-force oracle."""
+    members = members_of(s)
+    return {
+        (a, d): ColorTriple(*naive.verified_triple(
+            members, s.lo, s.hi, a, d, radius, span, steps
+        ))
+        for a, d in map(tuple, pairs.points().tolist())
+    }
+
+
+def labels(classes):
+    return {
+        (a, d): triple
+        for triple, cls in classes.items()
+        for a, d in map(tuple, cls.points().tolist())
+    }
+
+
 class TestVerifiedTriple:
+    """The least verified triple that color_classes assigns to each pair."""
+
     def test_single_shift_periodic(self):
         s = WindowSet1D.full(0, 60)
-        assert verified_triple(s, 10, 1, radius=1, span=2, steps=2) == ColorTriple(
-            offset=0, stride=1, shift=1
-        )
+        pair = WindowSet2D.from_points(10, 11, 1, 2, [(10, 1)])
+        classes = color_classes(s, pair, radius=1, span=2, steps=2)
+        assert classes == {ColorTriple(offset=0, stride=1, shift=1): pair}
 
     def test_zero_step_takes_least_witnessing_shift(self):
         # 11 is absent, 12 present: the constant progression at 10 needs shift 2
         s = WindowSet1D.from_members(0, 30, [4, 6, 8, 10, 12, 14, 16])
-        triple = verified_triple(s, 10, 0, radius=2, span=2, steps=1)
-        assert triple == ColorTriple(offset=0, stride=1, shift=2)
+        pair = WindowSet2D.from_points(10, 11, 0, 1, [(10, 0)])
+        classes = color_classes(s, pair, radius=2, span=2, steps=1)
+        assert classes == {ColorTriple(offset=0, stride=1, shift=2): pair}
 
     def test_matches_naive_scan_on_striped(self):
         s = striped_set((0, 90), 4, 2)
         pairs = progression_pairs(s, 2, 8, (0, 40, -3, 4)).pairs
-        for a, d in map(tuple, pairs.points().tolist()[::7]):
-            got = verified_triple(s, a, d, radius=2, span=8, steps=2)
-            want = naive.verified_triple(members_of(s), 0, 90, a, d, 2, 8, 2)
-            assert (got.offset, got.stride, got.shift) == want
-
-    def test_rejects_pair_outside_pair_set(self):
-        s = WindowSet1D.from_members(0, 20, [3])
-        with pytest.raises(ValueError, match="not a progression pair"):
-            verified_triple(s, 0, 1, radius=1, span=3, steps=1)
+        classes = color_classes(s, pairs, radius=2, span=8, steps=2)
+        assert labels(classes) == naive_labels(s, pairs, 2, 8, 2)
 
 
 class TestColorClasses:
@@ -117,9 +131,7 @@ class TestColorClasses:
         s = random_sparse_set((0, 150), 0.8, 31)
         pairs = progression_pairs(s, 2, 8, (10, 40, -2, 3)).pairs
         classes = color_classes(s, pairs, radius=2, span=8, steps=2)
-        for triple, cls in classes.items():
-            for a, d in map(tuple, cls.points().tolist()):
-                assert verified_triple(s, a, d, radius=2, span=8, steps=2) == triple
+        assert labels(classes) == naive_labels(s, pairs, 2, 8, 2)
 
 
 class TestPigeonholeExtract:
@@ -151,6 +163,11 @@ class TestPigeonholeExtract:
     def test_no_classes_rejected(self):
         with pytest.raises(ValueError):
             pigeonhole_extract({}, 1)
+
+    def test_worker_count_below_one_rejected(self):
+        cls = WindowSet2D.full(0, 3, 0, 3)
+        with pytest.raises(ValueError, match="workers"):
+            pigeonhole_extract({ColorTriple(0, 1, 1): cls}, 1, workers=0)
 
     def test_score_matches_brute_force_max(self):
         s = striped_set((0, 120), 6, 2)

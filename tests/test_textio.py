@@ -71,6 +71,11 @@ class TestWindow1DFormat:
             ("window1d 0 4\nrun 0 5\n", 2),
             ("window1d 0 4\npt 1 1\n", 2),
             ("# lead\nwindow1d 0 4\nrun x 2\n", 3),
+            ("window1d 0 1_0\n", 1),
+            ("window1d -0 4\n", 1),
+            ("window1d 0 \u0664\n", 1),
+            ("window1d 0 4\nrun +2 3\n", 2),
+            ("window1d 0 40\nrun 2 05\n", 2),
         ],
     )
     def test_errors_name_the_line(self, text, lineno):

@@ -18,6 +18,7 @@ from syndetic.windows import (
     shifted_union_1d,
     shifted_union_2d,
 )
+from syndetic.textio import dump_window1d
 
 # small windowed sets for property tests
 sets_1d = st.builds(
@@ -104,6 +105,28 @@ class TestContainsInterval:
         assert contains_interval(s, length) == naive.contains_interval(
             members, s.lo, s.hi, length
         )
+
+
+class TestRunScans:
+    """Every reader of maximal runs against the brute-force oracles."""
+
+    @given(
+        st.integers(-20, 20),
+        st.lists(st.booleans(), min_size=1, max_size=60),
+        st.integers(1, 12),
+    )
+    def test_matches_naive(self, lo, bits, length):
+        s = WindowSet1D(lo, lo + len(bits), bits)
+        members = set(s.members().tolist())
+        assert max_run_length(s) == naive.max_run(members, s.lo, s.hi)
+        assert contains_interval(s, length) == naive.contains_interval(
+            members, s.lo, s.hi, length
+        )
+        runs = [
+            tuple(int(v) for v in line.split()[1:])
+            for line in dump_window1d(s).splitlines()[1:]
+        ]
+        assert runs == naive.runs(members, s.lo, s.hi)
 
 
 class TestShiftedUnion1D:
@@ -254,12 +277,17 @@ class TestContainsSquare:
         for _ in range(20):
             mask = rng.random((9, 9)) < 0.75
             m = WindowSet2D(0, 9, 0, 9, mask)
-            corner = contains_square(m, 3)
             pts = set(map(tuple, m.points().tolist()))
-            assert corner == naive.contains_square(pts, m.box, 3)
-            if corner is not None:
-                x, y = corner
-                assert all(m.contains(x + i, y + j) for i in range(3) for j in range(3))
+            for side in range(1, 5):
+                corner = contains_square(m, side)
+                assert corner == naive.contains_square(pts, m.box, side)
+                if corner is not None:
+                    x, y = corner
+                    assert all(
+                        m.contains(x + i, y + j)
+                        for i in range(side)
+                        for j in range(side)
+                    )
 
 
 class TestPsScale2D:
