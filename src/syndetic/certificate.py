@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import canonical_int, dump_window1d
+from .textio import canonical_int, dump_window1d, significant_lines
 from .vdw import vdw_number
 from .windows import (
     Scale,
@@ -165,12 +165,7 @@ def serialize(cert: FgCertificate) -> str:
 
 class _Reader:
     def __init__(self, text: str):
-        self.lines = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            self.lines.append((lineno, line))
+        self.lines = list(significant_lines(text))
         self.pos = 0
 
     def peek(self) -> tuple[int, str] | None:

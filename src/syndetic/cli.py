@@ -6,13 +6,14 @@ reproduces the document byte for byte.  ``--workers`` is validated and
 echoed but changes neither speed nor output.
 
 Exit codes: 0 success, 1 negative verdict, 2 budget exhausted,
-3 precondition failure, 64 usage error.
+3 precondition failure, 64 usage error, 70 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .certificate import (
     CertificateError,
@@ -32,6 +33,7 @@ EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_PRECONDITION = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,7 +232,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+    except Exception as exc:
+        # a failure main() does not map is a fault of the program, never a
+        # verdict on the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

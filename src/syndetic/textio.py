@@ -16,6 +16,7 @@ from .windows import WindowSet1D, WindowSet2D, run_edges
 __all__ = [
     "SetFormatError",
     "canonical_int",
+    "significant_lines",
     "dump_window1d",
     "load_window1d",
     "dump_window2d",
@@ -33,7 +34,9 @@ class SetFormatError(ValueError):
         self.lineno = lineno
 
 
-def _significant_lines(text: str):
+def significant_lines(text: str):
+    """(line number, stripped line) for every line that is not blank or a
+    ``#`` comment: the comment grammar of every line-based document."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -72,7 +75,7 @@ def dump_window1d(s: WindowSet1D) -> str:
 
 
 def load_window1d(text: str) -> WindowSet1D:
-    lines = _significant_lines(text)
+    lines = significant_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -107,7 +110,7 @@ def dump_window2d(m: WindowSet2D) -> str:
 
 
 def load_window2d(text: str) -> WindowSet2D:
-    lines = _significant_lines(text)
+    lines = significant_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:

@@ -4,9 +4,13 @@ W(colors, terms) is the least N such that every coloring of positions
 0..N-1 with that many colors contains a monochromatic arithmetic
 progression of the given number of terms.  The search is a depth-first
 walk over the tree of progression-free prefixes: validity is closed under
-truncation, so W equals one plus the deepest valid prefix, and the first
-coloring found at that depth (children in ascending color order, first
-position pinned to color 1) is the lexicographically least extremal one.
+truncation, so W equals one plus the deepest valid prefix.  Colorings are
+restricted-growth strings: position i may take only the colors 1 .. 1 +
+the largest color in positions 0..i-1.  Relabelling colors in order of
+first appearance keeps a coloring progression-free and never makes it
+lexicographically larger, so the first coloring found at the deepest
+depth (children in ascending color order) is the lexicographically least
+extremal one.
 
 Budgets are node counts -- one node per attempted color placement.  A
 result with ``exhaustive=False`` only certifies the lower bound given by
@@ -185,19 +189,22 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
     seq: list[int] = []
     best: list[int] = []
     pending = [1]
+    limit = 1  # the largest color position len(seq) may take
     nodes = 0
     exhausted = False
 
     while pending:
         i = len(seq)
         c = pending[-1]
-        limit = 1 if i == 0 else colors
         if c > limit:
             pending.pop()
             if not seq:
                 break
             prev = seq.pop()
             masks[prev] ^= 1 << len(seq)
+            if not masks[prev]:
+                # prev was its color's first use, where the limit was prev
+                limit = prev
             pending[-1] = prev + 1
             continue
         if nodes >= budget:
@@ -220,6 +227,8 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
             if len(seq) > len(best):
                 best = seq.copy()
             pending.append(1)
+            if c == limit < colors:
+                limit += 1
 
     extremal = Coloring(tuple(best), colors)
     if find_mono_ap(extremal, terms) is not None:

@@ -115,6 +115,25 @@ def find_mono_ap(values: tuple[int, ...], terms: int):
     return None
 
 
+def least_extremal(colors: int, terms: int):
+    """(W(colors, terms), least longest progression-free coloring), by a
+    plain depth-first walk over every coloring with position 0 pinned to 1."""
+    best: list[int] = []
+
+    def grow(seq: list[int]) -> None:
+        nonlocal best
+        if len(seq) > len(best):
+            best = list(seq)
+        for c in range(1, (colors if seq else 1) + 1):
+            seq.append(c)
+            if find_mono_ap(tuple(seq), terms) is None:
+                grow(seq)
+            seq.pop()
+
+    grow([])
+    return len(best) + 1, tuple(best)
+
+
 def every_coloring_has_mono_ap(colors: int, terms: int, n: int) -> bool:
     for values in itertools.product(range(1, colors + 1), repeat=n):
         if find_mono_ap(values, terms) is None:

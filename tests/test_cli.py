@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from syndetic.cli import main
+from syndetic.cli import EXIT_INTERNAL, entry, main
 from syndetic.generators import striped_set
 from syndetic.textio import dump_window1d, load_window1d
 from syndetic.windows import WindowSet1D
@@ -122,6 +122,20 @@ class TestConstructAndVerify:
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         with pytest.raises(RuntimeError, match="self-check"):
             main(["construct", setp, "2", "2"])
+
+    def test_internal_error_exits_seventy(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal self-check failed")
+
+        monkeypatch.setattr("syndetic.cli.fg_construct", broken)
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        monkeypatch.setattr("sys.argv", ["syndetic", "construct", setp, "2", "2"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == EXIT_INTERNAL == 70
+        err = capsys.readouterr().err
+        assert "internal error: internal self-check failed" in err
+        assert "Traceback" in err
 
     def test_verify_detects_corruption(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))

@@ -14,6 +14,12 @@ from syndetic.vdw import (
     vdw_span,
 )
 
+# the extremal W(3,3) coloring of a search over every relabelling of the
+# colors; restricting the search to restricted-growth strings keeps it
+W33_EXTREMAL = (
+    1, 1, 2, 2, 1, 1, 2, 3, 2, 3, 3, 1, 3, 1, 1, 2, 1, 2, 2, 3, 1, 3, 3, 2, 3, 2,
+)
+
 colorings = st.builds(
     lambda r, vals: Coloring(tuple(v % r + 1 for v in vals), r),
     st.integers(1, 4),
@@ -125,6 +131,34 @@ class TestVdwNumber:
         assert known[(1, 3)] <= known[(2, 3)] <= known[(3, 3)]
         assert known[(1, 4)] <= known[(2, 4)]
         assert known[(2, 3)] <= known[(2, 4)]
+
+
+class TestRestrictedGrowth:
+    @pytest.mark.parametrize(
+        "colors, terms",
+        [(1, t) for t in range(1, 7)] + [(c, 2) for c in range(2, 7)] + [(2, 3)],
+    )
+    def test_matches_search_over_every_relabelling(self, colors, terms):
+        res = vdw_number(colors, terms)
+        assert (res.n, res.extremal.values) == naive.least_extremal(colors, terms)
+
+    def test_three_three_extremal_is_unchanged(self):
+        res = vdw_number(3, 3)
+        assert res.n == 27
+        assert res.extremal.values == W33_EXTREMAL
+
+    def test_node_counts(self):
+        assert vdw_number(3, 3).budget_spent == 337_640
+        assert vdw_number(2, 4).budget_spent == 20_351
+        assert vdw_number(10, 2).budget_spent <= 100
+
+    @given(st.integers(3, 4), st.integers(3, 4), st.integers(1, 20_000))
+    def test_budget_limited_colorings_grow_by_one(self, colors, terms, budget):
+        values = vdw_number(colors, terms, budget).extremal.values
+        assert naive.find_mono_ap(values, terms) is None
+        assert values[0] == 1
+        for i in range(1, len(values)):
+            assert values[i] <= 1 + max(values[:i])
 
 
 class TestVdwSpan:
