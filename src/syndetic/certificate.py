@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import canonical_int, dump_window1d, significant_lines
+from .textio import canonical_int, dump_window1d, significant_lines, writer_rows
 from .vdw import vdw_number
 from .windows import (
     Scale,
@@ -163,15 +163,49 @@ def serialize(cert: FgCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PT_BLOCK = object()
+
+
 class _Reader:
+    """The significant lines of a certificate, in order.  A ``pt`` block in
+    writer form stands in ``lines`` as one placeholder holding its rows
+    (``pt_rows``); any other read expands it into its lines first."""
+
     def __init__(self, text: str):
-        self.lines = list(significant_lines(text))
         self.pos = 0
+        # a writer-form block: from the first line starting "pt " up to the
+        # first "claims" line after it, every line in writer form
+        start = text.find("\npt ") + 1
+        end = text.find("\nclaims\n", start) + 1 if start else 0
+        self.block = text[start:end]
+        self.pts = writer_rows(self.block, "pt", 2) if end else None
+        if self.pts is None:
+            self.lines = list(significant_lines(text))
+            return
+        head = text[:start]
+        first = len(head.splitlines()) + 1
+        after = first + self.pts.shape[0] - 1
+        self.lines = [
+            *significant_lines(head),
+            (first, _PT_BLOCK),
+            *((n + after, line) for n, line in significant_lines(text[end:])),
+        ]
 
     def peek(self) -> tuple[int, str] | None:
         if self.pos >= len(self.lines):
             return None
+        first, item = self.lines[self.pos]
+        if item is _PT_BLOCK:
+            self.lines[self.pos : self.pos + 1] = [
+                (n + first - 1, line) for n, line in significant_lines(self.block)
+            ]
         return self.lines[self.pos]
+
+    def pt_rows(self) -> np.ndarray | None:
+        """The rows of the writer-form pt block if it is next, else None."""
+        if self.pos < len(self.lines) and self.lines[self.pos][1] is _PT_BLOCK:
+            return self.pts
+        return None
 
     def next(self, what: str) -> tuple[int, str]:
         item = self.peek()
@@ -209,6 +243,36 @@ class _Reader:
                     self.lastline, f"malformed integer {f!r} in {key}"
                 ) from None
         return out
+
+
+def _rows_fit(rows: np.ndarray, bx: list[int]) -> bool:
+    """Every row lies in the box and the rows strictly increase as (x, y)."""
+    x, y = rows[:, 0], rows[:, 1]
+    dx, dy = np.diff(x), np.diff(y)
+    return bool(
+        ((x >= bx[0]) & (x < bx[1]) & (y >= bx[2]) & (y < bx[3])).all()
+        and ((dx > 0) | ((dx == 0) & (dy > 0))).all()
+    )
+
+
+def _read_pts(r: _Reader, bx: list[int]) -> list[tuple[int, int]]:
+    pts: list[tuple[int, int]] = []
+    while True:
+        item = r.peek()
+        if item is None:
+            raise CertificateParseError(
+                r.lines[-1][0], "unexpected end of document inside mtilde"
+            )
+        if item[1] == "claims":
+            return pts
+        x, y = r.keyed_ints("pt", 2)
+        if not (bx[0] <= x < bx[1] and bx[2] <= y < bx[3]):
+            raise CertificateParseError(r.lastline, f"pt ({x}, {y}) leaves the box")
+        if pts and (x, y) <= pts[-1]:
+            raise CertificateParseError(
+                r.lastline, "pt lines must be strictly increasing"
+            )
+        pts.append((x, y))
 
 
 def parse(text: str) -> FgCertificate:
@@ -254,23 +318,15 @@ def parse(text: str) -> FgCertificate:
     bx = r.keyed_ints("window2d", 4)
     if bx[0] >= bx[1] or bx[2] >= bx[3]:
         raise CertificateParseError(r.lastline, "mtilde box is empty")
-    pts: list[tuple[int, int]] = []
-    while True:
-        item = r.peek()
-        if item is None:
-            raise CertificateParseError(
-                r.lines[-1][0], "unexpected end of document inside mtilde"
-            )
-        if item[1] == "claims":
-            break
-        x, y = r.keyed_ints("pt", 2)
-        if not (bx[0] <= x < bx[1] and bx[2] <= y < bx[3]):
-            raise CertificateParseError(r.lastline, f"pt ({x}, {y}) leaves the box")
-        if pts and (x, y) <= pts[-1]:
-            raise CertificateParseError(
-                r.lastline, "pt lines must be strictly increasing"
-            )
-        pts.append((x, y))
+    rows = r.pt_rows()
+    if rows is not None and _rows_fit(rows, bx):
+        r.pos += 1
+        ap_pairs = WindowSet2D.from_arrays(*bx, rows[:, 0], rows[:, 1])
+    else:
+        pts = _read_pts(r, bx)
+        if rows is not None:
+            raise RuntimeError("bulk pt check rejected a block the line loop accepts")
+        ap_pairs = WindowSet2D.from_points(*bx, pts)
     r.literal("claims")
     pair_box = tuple(r.keyed_ints("pair_box", 4))
     if pair_box[0] >= pair_box[1] or pair_box[2] >= pair_box[3]:
@@ -304,7 +360,7 @@ def parse(text: str) -> FgCertificate:
         pair_box=pair_box,
         pair_count=pair_count,
         class_count=class_count,
-        ap_pairs=WindowSet2D.from_points(*bx, pts),
+        ap_pairs=ap_pairs,
         length_in=length_in,
         length_out=length_out,
     )

@@ -3,10 +3,14 @@
 All formats are line based with space-separated fields.  Lines starting
 with ``#`` and blank lines are ignored on input.  Writers emit a canonical
 form (maximal runs, sorted rows) so that equal values serialize to equal
-bytes.
+bytes.  A block of lines exactly in that form is read in one pass
+(``writer_rows``); anything else goes line by line, with the same results
+and the same errors.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -17,6 +21,7 @@ __all__ = [
     "SetFormatError",
     "canonical_int",
     "significant_lines",
+    "writer_rows",
     "dump_window1d",
     "load_window1d",
     "dump_window2d",
@@ -44,13 +49,35 @@ def significant_lines(text: str):
         yield lineno, line
 
 
+# The one integer grammar: the decimal form ``str(int)`` writes.
+_INT = "(?:0|-?[1-9][0-9]*)"
+_CANONICAL_INT = re.compile(_INT)
+# The same grammar capped at 18 digits, so every value fits int64 (the bulk
+# conversion saturates instead of failing); longer fields go line by line.
+_INT_CAPPED = _INT.replace("*", "{0,17}")
+
+
 def canonical_int(field: str) -> int:
     """The integer a field spells in the one form the writers emit, so that
     parsed documents re-serialize to the same bytes; ValueError otherwise."""
-    value = int(field)
-    if str(value) != field:
+    if _CANONICAL_INT.fullmatch(field) is None:
         raise ValueError(f"non-canonical integer {field!r}")
-    return value
+    return int(field)
+
+
+def writer_rows(block: str, key: str, width: int) -> np.ndarray | None:
+    """The fields of a block of ``<key> <int> ... <int>`` lines, as an
+    (n, width) int64 array, when every line is exactly as the writers emit
+    it: single spaces, canonical integers, each line ended by ``\\n``, no
+    comments or blank lines.  None otherwise, so that the line loop reads
+    the block and names any bad line."""
+    line = rf"{key}(?: {_INT_CAPPED}){{{width}}}\n"
+    # the first line, then a newline not followed by a writer line; the
+    # search skips from newline to newline and makes no object per line
+    if not re.match(line, block) or re.search(rf"\n(?!\Z|{line})", block):
+        return None
+    fields = np.fromstring(block.replace(key, ""), dtype=np.int64, sep=" ")
+    return fields.reshape(-1, width)
 
 
 def _ints(lineno: int, fields: list[str], expect: int, what: str) -> list[int]:
@@ -74,18 +101,39 @@ def dump_window1d(s: WindowSet1D) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_window1d(text: str) -> WindowSet1D:
-    lines = significant_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise SetFormatError(0, "empty document") from None
+def _window1d_header(lineno: int, header: str) -> tuple[int, int]:
     tok = header.split()
     if tok[0] != "window1d":
         raise SetFormatError(lineno, f"expected window1d header, got {tok[0]!r}")
     lo, hi = _ints(lineno, tok[1:], 2, "window1d")
     if lo >= hi:
         raise SetFormatError(lineno, f"window [{lo}, {hi}) is empty")
+    if lo < -(2**63) or hi >= 2**63:
+        raise SetFormatError(lineno, f"window [{lo}, {hi}) leaves the int64 range")
+    return lo, hi
+
+
+def load_window1d(text: str) -> WindowSet1D:
+    # writer form: the header alone, then writer-form run lines to the end
+    start = text.find("\nrun ") + 1
+    runs = writer_rows(text[start:], "run", 2) if start else None
+    head = list(significant_lines(text[:start])) if runs is not None else []
+    if len(head) == 1:
+        lo, hi = _window1d_header(*head[0])
+        a, b = runs[:, 0], runs[:, 1]
+        if (a < b).all() and (a >= lo).all() and (b <= hi).all():
+            # runs may overlap or come in any order: count covers per cell
+            cover = np.zeros(hi - lo + 1, dtype=np.int32)
+            np.add.at(cover, a - lo, np.int32(1))
+            np.add.at(cover, b - lo, np.int32(-1))
+            np.cumsum(cover, out=cover)
+            return WindowSet1D(lo, hi, cover[:-1] > 0)
+    lines = significant_lines(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise SetFormatError(0, "empty document") from None
+    lo, hi = _window1d_header(lineno, header)
     mask = np.zeros(hi - lo, dtype=bool)
     for lineno, line in lines:
         tok = line.split()
@@ -97,6 +145,8 @@ def load_window1d(text: str) -> WindowSet1D:
         if a < lo or b > hi:
             raise SetFormatError(lineno, f"run [{a}, {b}) leaves window [{lo}, {hi})")
         mask[a - lo : b - lo] = True
+    if len(head) == 1:
+        raise RuntimeError("bulk run check rejected runs the line loop accepts")
     return WindowSet1D(lo, hi, mask)
 
 

@@ -105,6 +105,19 @@ class TestConstructAndVerify:
         assert code == 3
         assert "not piecewise syndetic" in err
 
+    @pytest.mark.parametrize("command", ["construct", "check1d"])
+    def test_window_outside_int64_is_usage_error(self, tmp_path, capsys, command):
+        setp = tmp_path / "huge.set"
+        setp.write_text(
+            "window1d 100000000000000000000 100000000000000000010\n"
+            "run 100000000000000000000 100000000000000000005\n"
+        )
+        code, out, err = run(capsys, command, str(setp), "2", "2")
+        assert code == 64
+        assert out == ""
+        assert "error: line 1: window [100000000000000000000, " in err
+        assert "leaves the int64 range" in err
+
     def test_tiny_budget_exits_two(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         for budget in ("3", "10"):
