@@ -47,13 +47,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import canonical_int, dump_window1d, significant_lines, writer_rows
+from .textio import allocate, canonical_int, dump_window1d, significant_lines, writer_rows
 from .vdw import vdw_number
 from .windows import (
     Scale,
     WindowSet1D,
     WindowSet2D,
     is_ps_at_scale,
+    progressions_in,
     ps_scale_2d,
     shifted_union_1d,
 )
@@ -318,15 +319,18 @@ def parse(text: str) -> FgCertificate:
     bx = r.keyed_ints("window2d", 4)
     if bx[0] >= bx[1] or bx[2] >= bx[3]:
         raise CertificateParseError(r.lastline, "mtilde box is empty")
+    too_wide = CertificateParseError(r.lastline, "mtilde box is too wide to allocate")
     rows = r.pt_rows()
     if rows is not None and _rows_fit(rows, bx):
         r.pos += 1
-        ap_pairs = WindowSet2D.from_arrays(*bx, rows[:, 0], rows[:, 1])
     else:
         pts = _read_pts(r, bx)
         if rows is not None:
             raise RuntimeError("bulk pt check rejected a block the line loop accepts")
-        ap_pairs = WindowSet2D.from_points(*bx, pts)
+        rows = np.array(pts, dtype=np.int64).reshape(-1, 2)
+    mask = allocate((bx[1] - bx[0], bx[3] - bx[2]), bool, too_wide)
+    mask[rows[:, 0] - bx[0], rows[:, 1] - bx[2]] = True
+    ap_pairs = WindowSet2D(*bx, mask)
     r.literal("claims")
     pair_box = tuple(r.keyed_ints("pair_box", 4))
     if pair_box[0] >= pair_box[1] or pair_box[2] >= pair_box[3]:
@@ -375,15 +379,9 @@ def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) ->
     definition: start + i*step must be a union member for i = 0..span."""
     x_lo, x_hi, y_lo, y_hi = box
     starts = np.arange(x_lo, x_hi, dtype=np.int64)
-    total = 0
-    for step in range(y_lo, y_hi):
-        ok = np.ones(starts.shape, dtype=bool)
-        for i in range(span + 1):
-            ok &= u.members_at(starts + i * step, outside="false")
-            if not ok.any():
-                break
-        total += int(ok.sum())
-    return total
+    # row by row, so memory stays linear in the width of the box
+    rows = (progressions_in(u, starts, step, span + 1) for step in range(y_lo, y_hi))
+    return sum(int(ok.sum()) for ok in rows)
 
 
 def verify_fg(
@@ -427,9 +425,7 @@ def verify_fg(
     pts = cert.ap_pairs.points()
     if pts.shape[0] == 0:
         return _fail("ap_membership", "certificate carries no pairs", notes)
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for i in range(cert.steps + 1):
-        ok &= s.members_at(pts[:, 0] + i * pts[:, 1], outside="false")
+    ok = progressions_in(s, pts[:, 0], pts[:, 1], cert.steps + 1)
     if not ok.all():
         j = int(np.flatnonzero(~ok)[0])
         return _fail(
@@ -499,9 +495,7 @@ def verify_fg(
             f"preimage ({pre_start[j]}, {pre_step[j]}) leaves the pair box",
             notes,
         )
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for i in range(cert.span + 1):
-        ok &= u.members_at(pre_start + i * pre_step, outside="false")
+    ok = progressions_in(u, pre_start, pre_step, cert.span + 1)
     if not ok.all():
         j = int(np.flatnonzero(~ok)[0])
         return _fail(

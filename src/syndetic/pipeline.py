@@ -36,6 +36,7 @@ from .windows import (
     contains_interval,
     is_ps_at_scale,
     max_run_length,
+    progressions_in,
     ps_scale_1d,
     ps_scale_2d,
     shifted_union_1d,
@@ -170,14 +171,12 @@ def progression_pairs(
     # when the first (i = 0) and the last (i = span) do
     last = starts + span * steps_ax
     feasible = (starts >= u.lo) & (starts < u.hi) & (last >= u.lo) & (last < u.hi)
-    member = np.ones(feasible.shape, dtype=bool)
-    for i in range(span + 1):
-        member &= u.members_at(starts + i * steps_ax, outside="false")
     if not feasible.any():
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "
             f"window [{u.lo}, {u.hi}) at span {span}"
         )
+    member = progressions_in(u, starts, steps_ax, span + 1)
     pairs = WindowSet2D(x_lo, x_hi, y_lo, y_hi, member)
     return PairSet(pairs=pairs, boundary_excluded=int((~feasible).sum()))
 
@@ -208,14 +207,9 @@ def color_classes(
     for triple in _triples(radius, span, steps):
         if remaining.size == 0:
             break
-        a = starts[remaining]
         d = steps_col[remaining]
-        ok = np.ones(remaining.size, dtype=bool)
-        for i in range(steps + 1):
-            probes = a + (triple.offset + i * triple.stride) * d + triple.shift
-            ok &= s.members_at(probes, outside="false")
-            if not ok.any():
-                break
+        first = starts[remaining] + triple.offset * d + triple.shift
+        ok = progressions_in(s, first, triple.stride * d, steps + 1)
         if ok.any():
             groups.append((triple, remaining[ok]))
             remaining = remaining[~ok]
@@ -345,10 +339,7 @@ def fg_construct(
         AffineMap2D(shear=triple.offset, shift=triple.shift, scale=triple.stride),
     )
     pts = image.points()
-    verified = np.ones(pts.shape[0], dtype=bool)
-    for i in range(steps + 1):
-        verified &= s.members_at(pts[:, 0] + i * pts[:, 1], outside="false")
-    if not verified.all():
+    if not progressions_in(s, pts[:, 0], pts[:, 1], steps + 1).all():
         raise PhiSearchError("constructed pair fails its membership re-check")
     length_out = ps_scale_2d(image, radius_2d)
     return FgCertificate(
@@ -397,17 +388,14 @@ def find_nontrivial_ap(
     run_start = contains_interval(u, need)
     if run_start is None:
         raise ScalePreconditionError(radius, need, max_run_length(u))
-    values = []
-    for idx in range(need):
-        p = run_start + idx
-        witness = 0
-        for t in range(1, radius + 1):
-            if s.covers(p + t) and s.contains(p + t):
-                witness = t
-                break
-        if witness == 0:
-            raise PhiSearchError(f"union member {p} has no witnessing shift")
-        values.append(witness)
+    # each union member's color is its least shift t with p + t in s
+    p = np.arange(run_start, run_start + need, dtype=np.int64)
+    hits = s.members_at(p[:, None] + np.arange(1, radius + 1))
+    found = hits.any(axis=1)
+    if not found.all():
+        j = int(np.flatnonzero(~found)[0])
+        raise PhiSearchError(f"union member {p[j]} has no witnessing shift")
+    values = (hits.argmax(axis=1) + 1).tolist()
     mono = find_mono_ap(Coloring(tuple(values), radius), steps + 1)
     if mono is None:
         raise PhiSearchError(
@@ -416,9 +404,8 @@ def find_nontrivial_ap(
         )
     a = run_start + mono.ap.start + mono.color
     d = mono.ap.step
-    for i in range(steps + 1):
-        if not s.contains(a + i * d):
-            raise PhiSearchError("returned pair fails its membership re-check")
+    if not progressions_in(s, a, d, steps + 1):
+        raise PhiSearchError("returned pair fails its membership re-check")
     return APPair(start=a, step=d)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "canonical_int",
     "significant_lines",
     "writer_rows",
+    "allocate",
     "dump_window1d",
     "load_window1d",
     "dump_window2d",
@@ -80,6 +81,15 @@ def writer_rows(block: str, key: str, width: int) -> np.ndarray | None:
     return fields.reshape(-1, width)
 
 
+def allocate(shape, dtype, error: ValueError) -> np.ndarray:
+    """Zeroed cells for a window or box read from a document; ``error`` when
+    numpy refuses the shape as too large to allocate."""
+    try:
+        return np.zeros(shape, dtype)
+    except (MemoryError, ValueError):
+        raise error from None
+
+
 def _ints(lineno: int, fields: list[str], expect: int, what: str) -> list[int]:
     if len(fields) != expect:
         raise SetFormatError(lineno, f"{what} expects {expect} fields, got {len(fields)}")
@@ -101,7 +111,10 @@ def dump_window1d(s: WindowSet1D) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _window1d_header(lineno: int, header: str) -> tuple[int, int]:
+def _window1d_header(lineno: int, header: str) -> tuple[int, int, np.ndarray]:
+    """The window's bounds and a zeroed cover count: per cell, the number of
+    runs that start there less the number that end there, so that runs may
+    overlap or come in any order."""
     tok = header.split()
     if tok[0] != "window1d":
         raise SetFormatError(lineno, f"expected window1d header, got {tok[0]!r}")
@@ -110,7 +123,8 @@ def _window1d_header(lineno: int, header: str) -> tuple[int, int]:
         raise SetFormatError(lineno, f"window [{lo}, {hi}) is empty")
     if lo < -(2**63) or hi >= 2**63:
         raise SetFormatError(lineno, f"window [{lo}, {hi}) leaves the int64 range")
-    return lo, hi
+    too_wide = SetFormatError(lineno, f"window [{lo}, {hi}) is too wide to allocate")
+    return lo, hi, allocate(hi - lo + 1, np.int32, too_wide)
 
 
 def load_window1d(text: str) -> WindowSet1D:
@@ -119,11 +133,9 @@ def load_window1d(text: str) -> WindowSet1D:
     runs = writer_rows(text[start:], "run", 2) if start else None
     head = list(significant_lines(text[:start])) if runs is not None else []
     if len(head) == 1:
-        lo, hi = _window1d_header(*head[0])
+        lo, hi, cover = _window1d_header(*head[0])
         a, b = runs[:, 0], runs[:, 1]
         if (a < b).all() and (a >= lo).all() and (b <= hi).all():
-            # runs may overlap or come in any order: count covers per cell
-            cover = np.zeros(hi - lo + 1, dtype=np.int32)
             np.add.at(cover, a - lo, np.int32(1))
             np.add.at(cover, b - lo, np.int32(-1))
             np.cumsum(cover, out=cover)
@@ -133,8 +145,7 @@ def load_window1d(text: str) -> WindowSet1D:
         lineno, header = next(lines)
     except StopIteration:
         raise SetFormatError(0, "empty document") from None
-    lo, hi = _window1d_header(lineno, header)
-    mask = np.zeros(hi - lo, dtype=bool)
+    lo, hi, cover = _window1d_header(lineno, header)
     for lineno, line in lines:
         tok = line.split()
         if tok[0] != "run":
@@ -144,10 +155,12 @@ def load_window1d(text: str) -> WindowSet1D:
             raise SetFormatError(lineno, f"run [{a}, {b}) is empty")
         if a < lo or b > hi:
             raise SetFormatError(lineno, f"run [{a}, {b}) leaves window [{lo}, {hi})")
-        mask[a - lo : b - lo] = True
+        cover[a - lo] += 1
+        cover[b - lo] -= 1
     if len(head) == 1:
         raise RuntimeError("bulk run check rejected runs the line loop accepts")
-    return WindowSet1D(lo, hi, mask)
+    np.cumsum(cover, out=cover)
+    return WindowSet1D(lo, hi, cover[:-1] > 0)
 
 
 def dump_window2d(m: WindowSet2D) -> str:
@@ -171,7 +184,8 @@ def load_window2d(text: str) -> WindowSet2D:
     x_lo, x_hi, y_lo, y_hi = _ints(lineno, tok[1:], 4, "window2d")
     if x_lo >= x_hi or y_lo >= y_hi:
         raise SetFormatError(lineno, "box is empty")
-    mask = np.zeros((x_hi - x_lo, y_hi - y_lo), dtype=bool)
+    too_wide = SetFormatError(lineno, "box is too wide to allocate")
+    mask = allocate((x_hi - x_lo, y_hi - y_lo), bool, too_wide)
     for lineno, line in lines:
         tok = line.split()
         if tok[0] == "pt":

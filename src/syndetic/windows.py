@@ -6,11 +6,11 @@ notions that are asymptotic on infinite sets -- thickness, piecewise
 syndeticity -- become scale-indexed predicates here: each check fixes a
 shift radius and a run length and returns an explicit witness on success.
 
-Boundary policy: membership queries outside the window raise
-:class:`WindowError` instead of defaulting to false.  Silent falsity near
-the boundary would corrupt largeness scores; callers that deliberately
-want "outside counts as absent" must opt in via ``outside="false"`` on the
-vectorized probes.
+Boundary policy: a scalar query (``contains``) outside the window raises
+:class:`WindowError`.  The vectorized probes, ``members_at`` and
+``progressions_in``, count a point outside the window as absent: the
+pipeline's scans and the verifier's recounts near a boundary are then
+conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -29,6 +29,7 @@ __all__ = [
     "PSWitness1D",
     "WindowSet1D",
     "WindowSet2D",
+    "progressions_in",
     "run_edges",
     "contains_interval",
     "max_run_length",
@@ -77,22 +78,26 @@ def _as_int(name: str, value) -> int:
 class WindowSet1D:
     """Subset of the integer window [lo, hi), one bit per integer."""
 
-    __slots__ = ("lo", "hi", "_mask")
+    __slots__ = ("lo", "hi", "_mask", "_cells")
 
     def __init__(self, lo: int, hi: int, mask: np.ndarray):
         lo = _as_int("lo", lo)
         hi = _as_int("hi", hi)
         if lo >= hi:
             raise WindowError(f"window [{lo}, {hi}) is empty")
-        arr = np.array(mask, dtype=bool, copy=True)
+        arr = np.asarray(mask, dtype=bool)
         if arr.shape != (hi - lo,):
             raise WindowError(
                 f"mask of shape {arr.shape} does not fit window [{lo}, {hi})"
             )
-        arr.setflags(write=False)
+        # one absent cell past the end, where members_at sends outside points
+        cells = np.zeros(hi - lo + 1, dtype=bool)
+        cells[:-1] = arr
+        cells.setflags(write=False)
         self.lo = lo
         self.hi = hi
-        self._mask = arr
+        self._cells = cells
+        self._mask = cells[:-1]
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet1D":
@@ -146,29 +151,15 @@ class WindowSet1D:
 
     __contains__ = contains
 
-    def members_at(self, points, *, outside: str = "raise") -> np.ndarray:
-        """Vectorized membership for an array of integers.
-
-        ``outside="raise"`` enforces the window policy; ``outside="false"``
-        is an explicit opt-in where out-of-window points count as absent
-        (used by boundary-aware scans that treat them conservatively).
-        """
+    def members_at(self, points) -> np.ndarray:
+        """Vectorized membership for an array of int64 points; a point
+        outside the window counts as absent."""
         pts = np.asarray(points, dtype=np.int64)
-        inside = (pts >= self.lo) & (pts < self.hi)
-        if outside == "raise":
-            if not inside.all():
-                bad = pts[~inside].flat[0]
-                raise WindowError(
-                    f"query {bad} outside window [{self.lo}, {self.hi})"
-                )
-            return self._mask[pts - self.lo]
-        if outside == "false":
-            out = np.zeros(pts.shape, dtype=bool)
-            if inside.any():
-                idx = np.where(inside, pts - self.lo, 0)
-                out = inside & self._mask[idx]
-            return out
-        raise ValueError(f"outside must be 'raise' or 'false', got {outside!r}")
+        # p - lo modulo 2**64 is below the width exactly when p is inside,
+        # for every int64 p and lo; any other point goes to the absent cell.
+        # The index fits int64, and numpy casts uint64 indices on every call
+        idx = pts.view(np.uint64) - np.uint64(self.lo % 2**64)
+        return self._cells[np.minimum(idx, np.uint64(self.width)).view(np.int64)]
 
     def union(self, other: "WindowSet1D") -> "WindowSet1D":
         if (self.lo, self.hi) != (other.lo, other.hi):
@@ -305,6 +296,17 @@ class WindowSet2D:
             f"WindowSet2D([{self.x_lo}, {self.x_hi}) x [{self.y_lo}, {self.y_hi}), "
             f"count={self.count})"
         )
+
+
+def progressions_in(s: WindowSet1D, starts, steps, terms: int) -> np.ndarray:
+    """Whether start + i*step is a member of s for every i < terms, over the
+    broadcast start and step arrays; a term outside the window is absent."""
+    ok = np.ones(np.broadcast_shapes(np.shape(starts), np.shape(steps)), dtype=bool)
+    for i in range(terms):
+        ok &= s.members_at(starts + i * steps)
+        if not ok.any():
+            break
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ def contains_interval(members: set[int], lo: int, hi: int, length: int):
     return None
 
 
+def progression_in(members: set[int], a: int, d: int, terms: int) -> bool:
+    """a + i*d is a member for every i < terms."""
+    return all(a + i * d in members for i in range(terms))
+
+
 def max_run(members: set[int], lo: int, hi: int) -> int:
     best = cur = 0
     for m in range(lo, hi):

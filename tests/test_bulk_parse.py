@@ -103,10 +103,14 @@ sets_1d = st.builds(
 )
 
 # Replacement fields: canonical integers, the non-canonical spellings int()
-# accepts, and other keys.  Integers stay small: a window or box too wide to
-# allocate fails inside numpy on both paths, not as a format error.
+# accepts, and other keys.  The large integers come from a fixed list, so a
+# window or box an edit produces is either a few hundred wide at most or at
+# least 9 * 10**17 wide, which numpy refuses at once: a test never asks for
+# a width that a machine could start to allocate.
+LARGE = [10**18, 10**19, 10**25]
 tokens = st.one_of(
     st.integers(-3, 130).map(str),
+    st.sampled_from([str(v) for n in LARGE for v in (n, -n)]),
     st.sampled_from(
         ["-0", "01", "+1", "1_0", "٢", "x", "pt", "run", "claims", "window2d"]
     ),

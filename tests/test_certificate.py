@@ -75,6 +75,20 @@ class TestSerializeParse:
             with pytest.raises(CertificateParseError, match="malformed integer"):
                 parse(doc)
 
+    @pytest.mark.parametrize("x_hi", [10**18, 10**20])
+    @pytest.mark.parametrize("tail", ["\n", "\t\n"])
+    def test_mtilde_box_too_wide_to_allocate(self, striped_cert, x_hi, tail):
+        # a writer-form pt block is read in bulk; a tab at each line end
+        # forces the line loop
+        lines = serialize(striped_cert).splitlines()
+        at = lines.index("mtilde") + 1
+        fields = lines[at].split()
+        fields[2] = str(x_hi)
+        lines[at] = " ".join(fields)
+        with pytest.raises(CertificateParseError) as err:
+            parse(tail.join(lines) + tail)
+        assert str(err.value) == f"line {at + 1}: mtilde box is too wide to allocate"
+
     def test_unknown_key_rejected(self, striped_cert):
         doc = serialize(striped_cert).replace("pair_count", "pair_total")
         with pytest.raises(CertificateParseError):

@@ -118,6 +118,17 @@ class TestConstructAndVerify:
         assert "error: line 1: window [100000000000000000000, " in err
         assert "leaves the int64 range" in err
 
+    @pytest.mark.parametrize("command", ["construct", "check1d"])
+    def test_window_too_wide_is_usage_error(self, tmp_path, capsys, command):
+        setp = tmp_path / "wide.set"
+        setp.write_text("window1d 0 1000000000000000000\nrun 0 5\n")
+        code, out, err = run(capsys, command, str(setp), "2", "2")
+        assert code == 64
+        assert out == ""
+        assert err == (
+            "error: line 1: window [0, 1000000000000000000) is too wide to allocate\n"
+        )
+
     def test_tiny_budget_exits_two(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         for budget in ("3", "10"):
@@ -160,6 +171,21 @@ class TestConstructAndVerify:
         code, out, _ = run(capsys, "verify", certp, setp)
         assert code == 1
         assert "FAIL output_scale" in out
+
+    def test_verify_mtilde_box_too_wide_is_usage_error(self, tmp_path, capsys):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("window2d "))
+        fields = lines[at].split()
+        fields[2] = str(10**20)
+        lines[at] = " ".join(fields)
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(certp), setp)
+        assert code == 64
+        assert out == ""
+        assert err == f"error: line {at + 1}: mtilde box is too wide to allocate\n"
 
     def test_verify_refuses_foreign_set(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))

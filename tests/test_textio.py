@@ -84,6 +84,37 @@ class TestWindow1DFormat:
         assert err.value.lineno == lineno
 
 
+# Widths numpy refuses at once; a test never asks for a width that a
+# machine could start to allocate.
+E18 = 10**18
+
+
+class TestTooWideToAllocate:
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            (f"window1d 0 {E18}\nrun 1 2\n", 1),  # writer form: bulk read
+            (f"window1d 0 {E18}\nrun 1 2\t\n", 1),  # line by line
+            (f"# lead\nwindow1d -{E18} {E18}\n", 2),
+            (f"window1d {-(2**63)} {2**63 - 1}\nrun 0 1\n", 1),
+        ],
+    )
+    def test_window1d(self, text, lineno):
+        with pytest.raises(SetFormatError) as err:
+            load_window1d(text)
+        assert err.value.lineno == lineno
+        assert str(err.value).endswith(") is too wide to allocate")
+
+    @pytest.mark.parametrize(
+        "header",
+        [f"window2d 0 {E18} 0 3", f"window2d 0 3 -{E18} 0", f"window2d 0 3 0 {10**20}"],
+    )
+    def test_window2d(self, header):
+        with pytest.raises(SetFormatError) as err:
+            load_window2d(f"# lead\n{header}\npt 1 1\n")
+        assert str(err.value) == "line 2: box is too wide to allocate"
+
+
 class TestWindow2DFormat:
     def test_canonical_rowruns(self):
         m = WindowSet2D.from_points(0, 4, -1, 1, [(0, -1), (1, -1), (3, 0)])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import naive
 from syndetic.windows import (
@@ -13,6 +13,7 @@ from syndetic.windows import (
     contains_square,
     is_ps_at_scale,
     max_run_length,
+    progressions_in,
     ps_scale_1d,
     ps_scale_2d,
     shifted_union_1d,
@@ -61,13 +62,6 @@ class TestWindowSet1D:
             s.contains(-1)
         with pytest.raises(WindowError):
             s.contains(5)
-        with pytest.raises(WindowError):
-            s.members_at([0, 5])
-
-    def test_members_at_false_optin(self):
-        s = WindowSet1D.from_members(0, 5, [0, 4])
-        got = s.members_at([-3, 0, 4, 5], outside="false")
-        assert got.tolist() == [False, True, True, False]
 
     def test_mask_is_immutable(self):
         s = WindowSet1D.full(0, 4)
@@ -80,6 +74,84 @@ class TestWindowSet1D:
         assert a == b
         assert a.members().tolist() == [-2, 0]
         assert a.count == 2
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def int64_windows(draw):
+    """A small set on a window anywhere in int64, often at either end;
+    hi may be 2**63, so that INT64_MAX itself can be a member."""
+    width = draw(st.integers(1, 40))
+    lo = draw(
+        st.one_of(
+            st.integers(INT64_MIN, INT64_MAX + 1 - width),
+            st.sampled_from([INT64_MIN, INT64_MAX + 1 - width, INT64_MAX - width]),
+        )
+    )
+    pick = draw(st.sets(st.integers(0, width - 1)))
+    return WindowSet1D.from_members(lo, lo + width, [lo + i for i in pick])
+
+
+@st.composite
+def windows_and_probes(draw):
+    s = draw(int64_windows())
+    near = st.integers(max(s.lo - 3, INT64_MIN), min(s.hi + 3, INT64_MAX))
+    edges = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX])
+    anywhere = st.integers(INT64_MIN, INT64_MAX)
+    probes = draw(st.lists(st.one_of(near, edges, anywhere), max_size=30))
+    return s, probes
+
+
+class TestMembersAt:
+    @example((WindowSet1D.from_members(0, 5, [0, 4]), [-3, 0, 4, 5]))
+    @given(windows_and_probes())
+    def test_matches_set_oracle(self, case):
+        s, probes = case
+        members = set(s.members().tolist())
+        got = s.members_at(np.array(probes, dtype=np.int64))
+        assert got.tolist() == [p in members for p in probes]
+        # the scalar query agrees inside the window and raises outside it
+        for p in probes:
+            if s.lo <= p < s.hi:
+                assert s.contains(p) == (p in members)
+            else:
+                with pytest.raises(WindowError):
+                    s.contains(p)
+
+    def test_shape_is_kept(self):
+        s = WindowSet1D.from_members(-2, 3, [-2, 0])
+        assert s.members_at(np.array([[-2, -1], [0, 9]])).tolist() == [
+            [True, False],
+            [True, False],
+        ]
+        assert s.members_at(np.int64(0)) and not s.members_at(np.int64(-3))
+
+
+class TestProgressionsIn:
+    @given(
+        sets_1d,
+        st.lists(st.integers(-30, 70), min_size=1, max_size=6),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        st.integers(0, 6),
+    )
+    def test_matches_naive(self, s, starts, steps, terms):
+        members = set(s.members().tolist())
+        got = progressions_in(
+            s, np.array(starts)[:, None], np.array(steps)[None, :], terms
+        )
+        want = [
+            [naive.progression_in(members, a, d, terms) for d in steps]
+            for a in starts
+        ]
+        assert got.tolist() == want
+
+    def test_zero_and_negative_steps(self):
+        s = WindowSet1D.from_members(0, 10, [2, 4, 6, 8])
+        got = progressions_in(s, np.array([8, 8, 2, 3]), np.array([-2, 0, 0, 2]), 4)
+        assert got.tolist() == [True, True, True, False]
+        assert progressions_in(s, 2, 2, 4) and not progressions_in(s, 2, 2, 5)
 
 
 class TestContainsInterval:
