@@ -47,7 +47,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import allocate, canonical_int, dump_window1d, significant_lines, writer_rows
+from .textio import (
+    allocate,
+    canonical_int,
+    dump_window1d,
+    fits_int64,
+    significant_lines,
+    writer_rows,
+)
 from .vdw import vdw_number
 from .windows import (
     Scale,
@@ -320,6 +327,10 @@ def parse(text: str) -> FgCertificate:
     if bx[0] >= bx[1] or bx[2] >= bx[3]:
         raise CertificateParseError(r.lastline, "mtilde box is empty")
     too_wide = CertificateParseError(r.lastline, "mtilde box is too wide to allocate")
+    if not fits_int64(bx[1] - bx[0], bx[3] - bx[2]):
+        raise too_wide
+    if not fits_int64(*bx):
+        raise CertificateParseError(r.lastline, "mtilde box leaves the int64 range")
     rows = r.pt_rows()
     if rows is not None and _rows_fit(rows, bx):
         r.pos += 1
@@ -376,11 +387,19 @@ def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
 
 def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) -> int:
     """Brute recount of progression pairs over the box, straight from the
-    definition: start + i*step must be a union member for i = 0..span."""
+    definition: start + i*step must be a union member for i = 0..span.
+
+    Only the feasible part of the box is probed: a pair whose start (i = 0)
+    or last term (i = span) leaves the union's window counts as absent, so
+    starts lie in [u.lo, u.hi) and |step| <= (u.width - 1) // span.  The
+    work is bounded by the union, whatever box the certificate declares.
+    """
     x_lo, x_hi, y_lo, y_hi = box
-    starts = np.arange(x_lo, x_hi, dtype=np.int64)
-    # row by row, so memory stays linear in the width of the box
-    rows = (progressions_in(u, starts, step, span + 1) for step in range(y_lo, y_hi))
+    reach = (u.width - 1) // span
+    starts = np.arange(max(x_lo, u.lo), min(x_hi, u.hi), dtype=np.int64)
+    steps = range(max(y_lo, -reach), min(y_hi, reach + 1))
+    # row by row, so memory stays linear in the width of the union
+    rows = (progressions_in(u, starts, step, span + 1) for step in steps)
     return sum(int(ok.sum()) for ok in rows)
 
 

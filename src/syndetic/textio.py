@@ -22,6 +22,7 @@ __all__ = [
     "canonical_int",
     "significant_lines",
     "writer_rows",
+    "fits_int64",
     "allocate",
     "dump_window1d",
     "load_window1d",
@@ -81,6 +82,12 @@ def writer_rows(block: str, key: str, width: int) -> np.ndarray | None:
     return fields.reshape(-1, width)
 
 
+def fits_int64(*values: int) -> bool:
+    """Whether numpy can hold every value as an int64: window bounds and
+    widths read from a document must, before any array is built from them."""
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
 def allocate(shape, dtype, error: ValueError) -> np.ndarray:
     """Zeroed cells for a window or box read from a document; ``error`` when
     numpy refuses the shape as too large to allocate."""
@@ -121,7 +128,7 @@ def _window1d_header(lineno: int, header: str) -> tuple[int, int, np.ndarray]:
     lo, hi = _ints(lineno, tok[1:], 2, "window1d")
     if lo >= hi:
         raise SetFormatError(lineno, f"window [{lo}, {hi}) is empty")
-    if lo < -(2**63) or hi >= 2**63:
+    if not fits_int64(lo, hi):
         raise SetFormatError(lineno, f"window [{lo}, {hi}) leaves the int64 range")
     too_wide = SetFormatError(lineno, f"window [{lo}, {hi}) is too wide to allocate")
     return lo, hi, allocate(hi - lo + 1, np.int32, too_wide)
@@ -185,6 +192,10 @@ def load_window2d(text: str) -> WindowSet2D:
     if x_lo >= x_hi or y_lo >= y_hi:
         raise SetFormatError(lineno, "box is empty")
     too_wide = SetFormatError(lineno, "box is too wide to allocate")
+    if not fits_int64(x_hi - x_lo, y_hi - y_lo):
+        raise too_wide
+    if not fits_int64(x_lo, x_hi, y_lo, y_hi):
+        raise SetFormatError(lineno, "box leaves the int64 range")
     mask = allocate((x_hi - x_lo, y_hi - y_lo), bool, too_wide)
     for lineno, line in lines:
         tok = line.split()

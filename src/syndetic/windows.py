@@ -316,8 +316,11 @@ def progressions_in(s: WindowSet1D, starts, steps, terms: int) -> np.ndarray:
 def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and end indices of the maximal runs of a 1D boolean mask, in
     order; run j covers mask indices [starts[j], ends[j])."""
-    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
+    # the edges alternate, a start then its end, since the padding is absent
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2]
 
 
 def contains_interval(s: WindowSet1D, length: int) -> int | None:
@@ -408,24 +411,36 @@ def shifted_union_2d(m: WindowSet2D, radius: int) -> WindowSet2D:
     return WindowSet2D(m.x_lo - radius, m.x_hi - 1, m.y_lo - radius, m.y_hi - 1, out)
 
 
-def _erode(sq: np.ndarray) -> np.ndarray:
-    """Keep cell (i, j) only when the 2x2 block starting there is full: if
-    sq marks the corners of full side-L squares, the result marks the
-    corners of full side-(L+1) squares."""
-    return sq[:-1, :-1] & sq[1:, :-1] & sq[:-1, 1:] & sq[1:, 1:]
+def _erode_by(sq: np.ndarray, b: int) -> np.ndarray:
+    """Keep cell (i, j) only when it and (i+b, j), (i, j+b), (i+b, j+b) are
+    all kept: if sq marks the corners of full side-a squares and b <= a,
+    the four side-a squares tile a side-(a+b) square, so the result marks
+    the corners of full side-(a+b) squares.  An offset past the edge of sq
+    leaves an empty array."""
+    rows = sq[:-b] & sq[b:]
+    return rows[:, :-b] & rows[:, b:]
 
 
 def contains_square(m: WindowSet2D, side: int) -> tuple[int, int] | None:
     """Lexicographically least lower-left corner of a filled side x side
-    square, or None."""
+    square, or None.
+
+    Erodes to exactly ``side`` along its binary expansion: double the
+    current side, then add one where the bit is set.  Every offset is at
+    most the side reached so far, so each step is exact, and the whole
+    search costs O(area * log side).
+    """
     side = _as_int("side", side)
     if side < 1:
         raise ValueError(f"square side must be >= 1, got {side}")
     sq = m.mask
-    if side > min(sq.shape):
-        return None
-    for _ in range(side - 1):
-        sq = _erode(sq)
+    reached = 1
+    for bit in bin(side)[3:]:
+        sq = _erode_by(sq, reached)
+        reached *= 2
+        if bit == "1":
+            sq = _erode_by(sq, 1)
+            reached += 1
     hits = np.flatnonzero(sq)
     if hits.size == 0:
         return None
@@ -436,10 +451,23 @@ def contains_square(m: WindowSet2D, side: int) -> tuple[int, int] | None:
 
 def ps_scale_2d(m: WindowSet2D, radius: int) -> int:
     """Largest side of a filled square inside the 2D shifted union; 0 if
-    the set is empty."""
+    the set is empty.
+
+    Doubles the side while a full square remains, then adds the halves
+    back in descending order, keeping each one that leaves a full square.
+    Every offset added is at most the side reached so far (the b <= a
+    invariant of the erosion), so the search is exact and costs
+    O(area * log side).
+    """
     sq = shifted_union_2d(m, radius).mask
-    side = 0
-    while sq.any():
-        side += 1
-        sq = _erode(sq)
+    if not sq.any():
+        return 0
+    side = 1
+    while (grown := _erode_by(sq, side)).any():
+        sq, side = grown, 2 * side
+    step = side // 2
+    while step:
+        if (grown := _erode_by(sq, step)).any():
+            sq, side = grown, side + step
+        step //= 2
     return side

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import naive
 from syndetic.certificate import (
     CertificateParseError,
     DigestMismatchError,
@@ -11,10 +13,11 @@ from syndetic.certificate import (
     serialize,
     set_digest,
     verify_fg,
+    _recount_pairs,
 )
 from syndetic.generators import periodic_set, striped_set
 from syndetic.pipeline import fg_construct
-from syndetic.windows import WindowSet1D, WindowSet2D
+from syndetic.windows import WindowSet1D, WindowSet2D, shifted_union_1d
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,6 +91,26 @@ class TestSerializeParse:
         with pytest.raises(CertificateParseError) as err:
             parse(tail.join(lines) + tail)
         assert str(err.value) == f"line {at + 1}: mtilde box is too wide to allocate"
+
+    @pytest.mark.parametrize(
+        "header,pt",
+        [
+            ("window2d 10000000000000000000 10000000000000000003 0 3",
+             "pt 10000000000000000001 1"),
+            ("window2d 0 3 -9223372036854775809 -9223372036854775806",
+             "pt 1 -9223372036854775808"),
+            ("window2d 9223372036854775805 9223372036854775808 0 1",
+             "pt 9223372036854775806 0"),
+        ],
+    )
+    def test_mtilde_box_outside_int64(self, striped_cert, header, pt):
+        # a pt beyond int64 has 19 or more digits, so the line loop reads it
+        lines = serialize(striped_cert).splitlines()
+        at = lines.index("mtilde") + 1
+        lines[at : lines.index("claims")] = [header, pt]
+        with pytest.raises(CertificateParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert str(err.value) == f"line {at + 1}: mtilde box leaves the int64 range"
 
     def test_unknown_key_rejected(self, striped_cert):
         doc = serialize(striped_cert).replace("pair_count", "pair_total")
@@ -192,6 +215,43 @@ class TestVerify:
     def test_wrong_class_count_fails(self, striped_cert, striped_input):
         bad = striped_cert.with_field(class_count=striped_cert.class_count + 1)
         assert verify_fg(bad, striped_input).failed_claim == "class_count"
+
+    def test_widened_pair_box_gets_a_verdict(self, striped_cert, striped_input):
+        # starts outside the union's window, and steps too long for it, hold
+        # no pair; the recount skips them however wide the declared box is
+        x_lo, _, y_lo, y_hi = striped_cert.pair_box
+        wide = striped_cert.with_field(pair_box=(x_lo, 10**18, y_lo, y_hi))
+        assert verify_fg(wide, striped_input).passed
+        huge = striped_cert.with_field(
+            pair_box=(-(10**20), 10**20, -(10**12), 10**12)
+        )
+        verdict = verify_fg(huge, striped_input)
+        s, r, span = striped_input, striped_cert.radius, striped_cert.span
+        reach = (s.width + r - 2) // span
+        margin = (s.lo - r - 3, s.hi + 2, -reach - 3, reach + 4)
+        members = set(s.members().tolist())
+        hits, _ = naive.progression_pairs(members, s.lo, s.hi, r, span, margin)
+        assert verdict.failed_claim == "pair_count"
+        assert verdict.detail == (
+            f"claimed {striped_cert.pair_count}, recounted {len(hits)}"
+        )
+
+    @given(
+        st.integers(-20, 20),
+        st.lists(st.booleans(), min_size=1, max_size=30),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.tuples(st.integers(-60, 60), st.integers(1, 60)),
+        st.tuples(st.integers(-20, 20), st.integers(1, 40)),
+    )
+    def test_recount_matches_naive(self, lo, bits, radius, span, xs, ys):
+        # boxes reach well past the union's window on every side
+        s = WindowSet1D(lo, lo + len(bits), bits)
+        box = (xs[0], xs[0] + xs[1], ys[0], ys[0] + ys[1])
+        members = set(s.members().tolist())
+        hits, _ = naive.progression_pairs(members, s.lo, s.hi, radius, span, box)
+        u = shifted_union_1d(s, radius)
+        assert _recount_pairs(u, box, span) == len(hits)
 
     def test_out_of_range_triple_fails(self, striped_cert, striped_input):
         bad = striped_cert.with_field(shift=striped_cert.radius + 1)

@@ -187,6 +187,45 @@ class TestConstructAndVerify:
         assert out == ""
         assert err == f"error: line {at + 1}: mtilde box is too wide to allocate\n"
 
+    def test_verify_mtilde_box_outside_int64_is_usage_error(self, tmp_path, capsys):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        at = lines.index("mtilde") + 1
+        lines[at : lines.index("claims")] = [
+            "window2d 10000000000000000000 10000000000000000003 0 3",
+            "pt 10000000000000000001 1",
+        ]
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(certp), setp)
+        assert code == 64
+        assert out == ""
+        assert err == f"error: line {at + 1}: mtilde box leaves the int64 range\n"
+
+    @pytest.mark.parametrize(
+        "box,code,verdict",
+        [
+            ((None, 10**18, None, None), 0, "PASS"),
+            ((-(10**20), 10**20, -(10**12), 10**12), 1, "FAIL pair_count"),
+        ],
+    )
+    def test_verify_widened_pair_box_gets_a_verdict(
+        self, tmp_path, capsys, box, code, verdict
+    ):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("pair_box "))
+        fields = lines[at].split()[1:]
+        wide = [old if new is None else new for old, new in zip(fields, box)]
+        lines[at] = "pair_box {} {} {} {}".format(*wide)
+        certp.write_text("\n".join(lines) + "\n")
+        got, out, _ = run(capsys, "verify", str(certp), setp)
+        assert got == code
+        assert out.splitlines()[1].startswith(verdict)
+
     def test_verify_refuses_foreign_set(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         otherp = write_set(tmp_path, "o.set", striped_set((0, 200), 5, 3))

@@ -131,6 +131,22 @@ class TestWindow2DFormat:
         assert load_window2d(dump_window2d(m)) == m
 
     @pytest.mark.parametrize(
+        "header,member",
+        [
+            ("window2d 10000000000000000000 10000000000000000003 0 3",
+             "pt 10000000000000000001 1"),
+            ("window2d 0 3 -9223372036854775809 -9223372036854775806",
+             "rowrun -9223372036854775808 0 2"),
+            ("window2d 9223372036854775805 9223372036854775808 0 1",
+             "pt 9223372036854775806 0"),
+        ],
+    )
+    def test_bounds_outside_int64_rejected(self, header, member):
+        with pytest.raises(SetFormatError) as err:
+            load_window2d(f"# lead\n{header}\n{member}\n")
+        assert str(err.value) == "line 2: box leaves the int64 range"
+
+    @pytest.mark.parametrize(
         "text",
         [
             "window2d 0 3 3 3\n",

@@ -182,6 +182,10 @@ class TestContainsInterval:
 class TestRunScans:
     """Every reader of maximal runs against the brute-force oracles."""
 
+    @example(lo=0, bits=[True] * 7, length=7)
+    @example(lo=-3, bits=[False] * 5, length=1)
+    @example(lo=4, bits=[True], length=1)
+    @example(lo=4, bits=[False], length=2)
     @given(
         st.integers(-20, 20),
         st.lists(st.booleans(), min_size=1, max_size=60),
@@ -384,3 +388,64 @@ class TestPsScale2D:
     def test_matches_naive(self, m, radius):
         pts = set(map(tuple, m.points().tolist()))
         assert ps_scale_2d(m, radius) == naive.ps_scale_2d(pts, m.box, radius)
+
+
+def _holed(wx, wy, holes):
+    mask = np.ones((wx, wy), dtype=bool)
+    for i, j in holes:
+        if i < wx and j < wy:
+            mask[i, j] = False
+    return mask
+
+
+# full boxes up to 12x12 with a few holes: squares span most of the box, so
+# the erosion runs its doubling and its descent to the last step
+near_full_2d = st.builds(
+    lambda xlo, ylo, wx, wy, holes: WindowSet2D(
+        xlo, xlo + wx, ylo, ylo + wy, _holed(wx, wy, holes)
+    ),
+    st.integers(-8, 8),
+    st.integers(-8, 8),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+)
+
+
+# backgrounds with no two members next to each other in a row or column:
+# any square of side 2 or more that is not inside a planted square has an
+# edge outside it, and that edge has a hole
+def _background(kind, wx, wy, rng):
+    x, y = np.meshgrid(np.arange(wx), np.arange(wy), indexing="ij")
+    mask = (x + y) % 2 == 0
+    if kind == "sparse":
+        mask &= rng.random((wx, wy)) < 0.5
+    return mask
+
+
+class TestSquareErosion:
+    @given(near_full_2d, st.integers(1, 3))
+    def test_near_full_matches_naive(self, m, radius):
+        pts = set(map(tuple, m.points().tolist()))
+        assert ps_scale_2d(m, radius) == naive.ps_scale_2d(pts, m.box, radius)
+        for side in range(1, max(m.mask.shape) + 2):
+            assert contains_square(m, side) == naive.contains_square(pts, m.box, side)
+
+    @pytest.mark.parametrize("background", ["checkerboard", "sparse"])
+    def test_planted_square(self, background):
+        # every side 1..70, so 2**n - 1, 2**n and 2**n + 1 for n <= 6
+        rng = np.random.default_rng(3)
+        for side in range(1, 71):
+            wx = side + int(rng.integers(0, 30))
+            wy = side + int(rng.integers(0, 30))
+            cx = int(rng.integers(0, wx - side + 1))
+            cy = int(rng.integers(0, wy - side + 1))
+            mask = _background(background, wx, wy, rng)
+            mask[cx : cx + side, cy : cy + side] = True
+            m = WindowSet2D(-5, wx - 5, 7, wy + 7, mask)
+            # the shifted union at radius 1 is the set moved by (-1, -1)
+            assert ps_scale_2d(m, 1) == side
+            if side > 1:
+                assert contains_square(m, side) == (cx - 5, cy + 7)
+            assert contains_square(m, side + 1) is None
+            assert contains_square(m, max(wx, wy) + 1) is None
