@@ -60,6 +60,7 @@ from .windows import (
     Scale,
     WindowSet1D,
     WindowSet2D,
+    first_member,
     is_ps_at_scale,
     progressions_in,
     ps_scale_2d,
@@ -385,6 +386,9 @@ def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
     return Verdict(passed=False, failed_claim=claim, detail=detail, notes=tuple(notes))
 
 
+_ROWS = 8
+
+
 def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) -> int:
     """Brute recount of progression pairs over the box, straight from the
     definition: start + i*step must be a union member for i = 0..span.
@@ -396,11 +400,13 @@ def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) ->
     """
     x_lo, x_hi, y_lo, y_hi = box
     reach = (u.width - 1) // span
-    starts = np.arange(max(x_lo, u.lo), min(x_hi, u.hi), dtype=np.int64)
-    steps = range(max(y_lo, -reach), min(y_hi, reach + 1))
-    # row by row, so memory stays linear in the width of the union
-    rows = (progressions_in(u, starts, step, span + 1) for step in steps)
-    return sum(int(ok.sum()) for ok in rows)
+    starts = (max(x_lo, u.lo), min(x_hi, u.hi))
+    if starts[0] >= starts[1]:
+        return 0
+    y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
+    # a chunk of rows at a time, so memory stays linear in the union's width
+    chunks = ((*starts, y, min(y + _ROWS, y_hi)) for y in range(y_lo, y_hi, _ROWS))
+    return sum(int(progressions_in(u, c, range(span + 1)).sum()) for c in chunks)
 
 
 def verify_fg(
@@ -441,17 +447,13 @@ def verify_fg(
             notes,
         )
 
-    pts = cert.ap_pairs.points()
-    if pts.shape[0] == 0:
+    pairs = cert.ap_pairs
+    if pairs.is_empty():
         return _fail("ap_membership", "certificate carries no pairs", notes)
-    ok = progressions_in(s, pts[:, 0], pts[:, 1], cert.steps + 1)
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
-        return _fail(
-            "ap_membership",
-            f"pair ({pts[j, 0]}, {pts[j, 1]}) leaves the set",
-            notes,
-        )
+    ok = progressions_in(s, pairs.box, range(cert.steps + 1))
+    hit = first_member(pairs.box, pairs.mask & ~ok)
+    if hit is not None:
+        return _fail("ap_membership", "pair ({}, {}) leaves the set".format(*hit), notes)
 
     achieved = ps_scale_2d(cert.ap_pairs, cert.radius_2d)
     if achieved < cert.length_out:
@@ -491,37 +493,46 @@ def verify_fg(
         )
 
     u = shifted_union_1d(s, cert.radius)
-    if (pts[:, 1] % cert.stride != 0).any():
-        j = int(np.flatnonzero(pts[:, 1] % cert.stride != 0)[0])
+    # failures are named in pt order, which is row-major order on the mask;
+    # the columns whose step is a multiple of stride are every stride-th
+    # one from `first` (a stride past the box leaves at most one)
+    x_lo, x_hi, y_lo, y_hi = pairs.box
+    first = min((-y_lo) % cert.stride, y_hi - y_lo)
+    every = min(cert.stride, y_hi - y_lo)
+    off_stride = np.ones(y_hi - y_lo, dtype=bool)
+    off_stride[first::every] = False
+    hit = first_member(pairs.box, pairs.mask & off_stride)
+    if hit is not None:
         return _fail(
             "pair_preimage",
-            f"pair step {pts[j, 1]} is not a multiple of stride {cert.stride}",
+            f"pair step {hit[1]} is not a multiple of stride {cert.stride}",
             notes,
         )
-    pre_step = pts[:, 1] // cert.stride
-    pre_start = pts[:, 0] - cert.offset * pre_step - cert.shift
+    # on those columns, as preimage steps p, a pair (x, stride*p) pulls
+    # back to (x - offset*p - shift, p)
+    cols = pairs.mask[:, first::every]
+    p_lo = (y_lo + first) // cert.stride
+    pre = (x_lo, x_hi, p_lo, p_lo + cols.shape[1])
     bx = cert.pair_box
-    in_box = (
-        (pre_start >= bx[0])
-        & (pre_start < bx[1])
-        & (pre_step >= bx[2])
-        & (pre_step < bx[3])
-    )
-    if not in_box.all():
-        j = int(np.flatnonzero(~in_box)[0])
-        return _fail(
-            "pair_preimage",
-            f"preimage ({pre_start[j]}, {pre_step[j]}) leaves the pair box",
-            notes,
-        )
-    ok = progressions_in(u, pre_start, pre_step, cert.span + 1)
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
-        return _fail(
-            "pair_preimage",
-            f"preimage ({pre_start[j]}, {pre_step[j]}) is not a progression pair",
-            notes,
-        )
+    in_box = np.zeros(cols.shape, dtype=bool)
+    for j, p in enumerate(range(pre[2], pre[3])):
+        if bx[2] <= p < bx[3]:
+            move = cert.offset * p + cert.shift
+            a, b = (min(max(v + move, x_lo), x_hi) for v in bx[:2])
+            in_box[a - x_lo : b - x_lo, j] = True
+    hit = first_member(pre, cols & ~in_box)
+    if hit is not None:
+        x, p = hit
+        pulled = f"({x - cert.offset * p - cert.shift}, {p})"
+        return _fail("pair_preimage", f"preimage {pulled} leaves the pair box", notes)
+    coefs = range(-cert.offset, cert.span + 1 - cert.offset)
+    ok = progressions_in(u, pre, coefs, -cert.shift)
+    hit = first_member(pre, cols & ~ok)
+    if hit is not None:
+        x, p = hit
+        pulled = f"({x - cert.offset * p - cert.shift}, {p})"
+        detail = f"preimage {pulled} is not a progression pair"
+        return _fail("pair_preimage", detail, notes)
 
     recount = _recount_pairs(u, cert.pair_box, cert.span)
     if recount != cert.pair_count:

@@ -34,6 +34,7 @@ from .windows import (
     WindowSet1D,
     WindowSet2D,
     contains_interval,
+    first_member,
     is_ps_at_scale,
     max_run_length,
     progressions_in,
@@ -165,20 +166,22 @@ def progression_pairs(
         raise ValueError(f"span must be >= 1, got {span}")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
     u = shifted_union_1d(s, radius)
-    starts = np.arange(x_lo, x_hi, dtype=np.int64)[:, None]
-    steps_ax = np.arange(y_lo, y_hi, dtype=np.int64)[None, :]
     # probes are linear in i, so all of them land in the window exactly
-    # when the first (i = 0) and the last (i = span) do
-    last = starts + span * steps_ax
-    feasible = (starts >= u.lo) & (starts < u.hi) & (last >= u.lo) & (last < u.hi)
-    if not feasible.any():
+    # when the first (i = 0) and the last (i = span) do: per step row, an
+    # interval of starts
+    spread = span * np.arange(y_lo, y_hi, dtype=np.int64)
+    lo_start = np.maximum(x_lo, u.lo - np.minimum(spread, 0))
+    hi_start = np.minimum(x_hi, u.hi - np.maximum(spread, 0))
+    feasible = int(np.maximum(hi_start - lo_start, 0).sum())
+    if not feasible:
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "
             f"window [{u.lo}, {u.hi}) at span {span}"
         )
-    member = progressions_in(u, starts, steps_ax, span + 1)
+    member = progressions_in(u, (x_lo, x_hi, y_lo, y_hi), range(span + 1))
     pairs = WindowSet2D(x_lo, x_hi, y_lo, y_hi, member)
-    return PairSet(pairs=pairs, boundary_excluded=int((~feasible).sum()))
+    excluded = (x_hi - x_lo) * (y_hi - y_lo) - feasible
+    return PairSet(pairs=pairs, boundary_excluded=excluded)
 
 
 def color_classes(
@@ -196,33 +199,24 @@ def color_classes(
     Only nonempty classes appear as keys, so the values partition the
     input and their cardinalities sum to its count.
     """
-    pts = pairs.points()
     out: dict[ColorTriple, WindowSet2D] = {}
-    if pts.shape[0] == 0:
-        return out
-    starts = pts[:, 0]
-    steps_col = pts[:, 1]
-    remaining = np.arange(pts.shape[0])
-    groups: list[tuple[ColorTriple, np.ndarray]] = []
+    remaining = pairs.mask.copy()
     for triple in _triples(radius, span, steps):
-        if remaining.size == 0:
+        if not remaining.any():
             break
-        d = steps_col[remaining]
-        first = starts[remaining] + triple.offset * d + triple.shift
-        ok = progressions_in(s, first, triple.stride * d, steps + 1)
-        if ok.any():
-            groups.append((triple, remaining[ok]))
-            remaining = remaining[~ok]
-    if remaining.size:
-        a = int(starts[remaining[0]])
-        d = int(steps_col[remaining[0]])
-        raise PhiSearchError(
-            f"no verified triple for pair ({a}, {d}); span {span} is not a "
-            f"valid van der Waerden witness here"
+        coefs = range(
+            triple.offset, triple.offset + (steps + 1) * triple.stride, triple.stride
         )
-    for triple, idx in groups:
-        out[triple] = WindowSet2D.from_arrays(
-            *pairs.box, starts[idx], steps_col[idx]
+        ok = progressions_in(s, pairs.box, coefs, triple.shift)
+        ok &= remaining
+        if ok.any():
+            out[triple] = WindowSet2D(*pairs.box, ok)
+            remaining &= ~ok
+    hit = first_member(pairs.box, remaining)
+    if hit is not None:
+        raise PhiSearchError(
+            "no verified triple for pair ({}, {}); span {} is not a valid "
+            "van der Waerden witness here".format(*hit, span)
         )
     return out
 
@@ -260,8 +254,9 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
     The map is injective for nonzero scale, so the image count equals the
     preimage count.
     """
-    pts = m.points()
-    if pts.shape[0] == 0:
+    mask = m.mask
+    cols = np.flatnonzero(mask.any(axis=0))
+    if cols.size == 0:
         corners_x = np.array([m.x_lo, m.x_lo, m.x_hi - 1, m.x_hi - 1], dtype=np.int64)
         corners_y = np.array([m.y_lo, m.y_hi - 1, m.y_lo, m.y_hi - 1], dtype=np.int64)
         u = corners_x + amap.shear * corners_y + amap.shift
@@ -269,11 +264,19 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
         return WindowSet2D.empty(
             int(u.min()), int(u.max()) + 1, int(v.min()), int(v.max()) + 1
         )
-    u = pts[:, 0] + amap.shear * pts[:, 1] + amap.shift
-    v = amap.scale * pts[:, 1]
-    return WindowSet2D.from_arrays(
-        int(u.min()), int(u.max()) + 1, int(v.min()), int(v.max()) + 1, u, v
-    )
+    # each column y moves as a whole: x by shear*y + shift, to row scale*y
+    ys = (m.y_lo + cols).tolist()
+    firsts = mask[:, cols].argmax(axis=0).tolist()
+    ends = (mask.shape[0] - mask[::-1, cols].argmax(axis=0)).tolist()
+    dxs = [m.x_lo + amap.shear * y + amap.shift for y in ys]
+    vs = [amap.scale * y for y in ys]
+    u_lo = min(dx + f for dx, f in zip(dxs, firsts))
+    u_hi = max(dx + e for dx, e in zip(dxs, ends))
+    v_lo, v_hi = min(vs), max(vs) + 1
+    out = np.zeros((u_hi - u_lo, v_hi - v_lo), dtype=bool)
+    for j, f, e, dx, v in zip(cols.tolist(), firsts, ends, dxs, vs):
+        out[dx + f - u_lo : dx + e - u_lo, v - v_lo] = mask[f:e, j]
+    return WindowSet2D(u_lo, u_hi, v_lo, v_hi, out)
 
 
 def _auto_box(
@@ -338,8 +341,7 @@ def fg_construct(
         chosen,
         AffineMap2D(shear=triple.offset, shift=triple.shift, scale=triple.stride),
     )
-    pts = image.points()
-    if not progressions_in(s, pts[:, 0], pts[:, 1], steps + 1).all():
+    if (image.mask & ~progressions_in(s, image.box, range(steps + 1))).any():
         raise PhiSearchError("constructed pair fails its membership re-check")
     length_out = ps_scale_2d(image, radius_2d)
     return FgCertificate(
@@ -404,7 +406,7 @@ def find_nontrivial_ap(
         )
     a = run_start + mono.ap.start + mono.color
     d = mono.ap.step
-    if not progressions_in(s, a, d, steps + 1):
+    if not progressions_in(s, (a, a + 1, d, d + 1), range(steps + 1))[0, 0]:
         raise PhiSearchError("returned pair fails its membership re-check")
     return APPair(start=a, step=d)
 

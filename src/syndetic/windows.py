@@ -7,10 +7,11 @@ syndeticity -- become scale-indexed predicates here: each check fixes a
 shift radius and a run length and returns an explicit witness on success.
 
 Boundary policy: a scalar query (``contains``) outside the window raises
-:class:`WindowError`.  The vectorized probes, ``members_at`` and
-``progressions_in``, count a point outside the window as absent: the
-pipeline's scans and the verifier's recounts near a boundary are then
-conservative, never optimistic.
+:class:`WindowError`.  The vectorized probes count a point outside the
+window as absent: ``members_at`` per point, and ``progressions_in`` over a
+box, where rows and starts with a term that must leave the window are
+absent without being probed.  The pipeline's scans and the verifier's
+recounts near a boundary are then conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "WindowError",
@@ -30,6 +32,7 @@ __all__ = [
     "WindowSet1D",
     "WindowSet2D",
     "progressions_in",
+    "first_member",
     "run_edges",
     "contains_interval",
     "max_run_length",
@@ -210,39 +213,6 @@ class WindowSet2D:
         self._mask = arr
 
     @classmethod
-    def from_points(
-        cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int, points: Iterable[tuple[int, int]]
-    ) -> "WindowSet2D":
-        pts = list(points)
-        xs = np.asarray([p[0] for p in pts], dtype=np.int64)
-        ys = np.asarray([p[1] for p in pts], dtype=np.int64)
-        return cls.from_arrays(x_lo, x_hi, y_lo, y_hi, xs, ys)
-
-    @classmethod
-    def from_arrays(
-        cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int, xs, ys
-    ) -> "WindowSet2D":
-        if x_lo >= x_hi or y_lo >= y_hi:
-            raise WindowError(
-                f"box [{x_lo}, {x_hi}) x [{y_lo}, {y_hi}) is empty"
-            )
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        if xs.shape != ys.shape:
-            raise WindowError("coordinate arrays differ in shape")
-        arr = np.zeros((x_hi - x_lo, y_hi - y_lo), dtype=bool)
-        if xs.size:
-            bad = (xs < x_lo) | (xs >= x_hi) | (ys < y_lo) | (ys >= y_hi)
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise WindowError(
-                    f"member ({xs[i]}, {ys[i]}) outside box "
-                    f"[{x_lo}, {x_hi}) x [{y_lo}, {y_hi})"
-                )
-            arr[xs - x_lo, ys - y_lo] = True
-        return cls(x_lo, x_hi, y_lo, y_hi, arr)
-
-    @classmethod
     def empty(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> "WindowSet2D":
         return cls(x_lo, x_hi, y_lo, y_hi, np.zeros((x_hi - x_lo, y_hi - y_lo), bool))
 
@@ -298,15 +268,83 @@ class WindowSet2D:
         )
 
 
-def progressions_in(s: WindowSet1D, starts, steps, terms: int) -> np.ndarray:
-    """Whether start + i*step is a member of s for every i < terms, over the
-    broadcast start and step arrays; a term outside the window is absent."""
-    ok = np.ones(np.broadcast_shapes(np.shape(starts), np.shape(steps)), dtype=bool)
-    for i in range(terms):
-        ok &= s.members_at(starts + i * steps)
-        if not ok.any():
-            break
-    return ok
+def progressions_in(s: WindowSet1D, box, coefs: range, shift: int = 0) -> np.ndarray:
+    """Over the box [x_lo, x_hi) x [y_lo, y_hi) of starts x and steps y,
+    whether x + shift + c*y is a member of s for every c in the nonempty
+    range coefs, as a mask indexed [x - x_lo, y - y_lo].  A term outside
+    the window is absent.  Costs O(area * terms), with at most width + 1
+    terms probed."""
+    x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
+    out = np.zeros((x_hi - x_lo, y_hi - y_lo), dtype=bool)
+    block = _probe(s, box, coefs, shift)
+    if block is not None:
+        x, y, ok = block
+        out[x - x_lo : x - x_lo + ok.shape[0], y - y_lo : y - y_lo + ok.shape[1]] = ok
+    return out
+
+
+def _probe(s: WindowSet1D, box, coefs: range, shift: int):
+    """The progressions_in mask on the least block (x, y, mask) of the box
+    that holds every row and start whose terms can all land in the window,
+    or None if there is none; the rest of the box is absent unprobed.
+
+    For a fixed step y and coefficient c, the terms over consecutive
+    starts are one contiguous slice of the mask, so each coefficient ANDs
+    one strided view of a padded copy: O(block area) per term, with no
+    index array.  The padding is below the block's width on each side.
+    """
+    if not coefs:
+        raise ValueError("coefs is empty")
+    x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
+    shift = int(shift)
+    w = s.width
+    # Distinct coefficients spread a nonzero step's terms by at least |y|
+    # each, so width + 1 of them cannot all land in the window; a zero
+    # step repeats its first term.  The cap is exact.
+    coefs = coefs[: w + 1]
+    c0, c1 = sorted((coefs[0], coefs[-1]))
+    if c1 > c0:
+        reach = (w - 1) // (c1 - c0)
+        y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
+    # per row, the starts whose least and greatest terms land; a row's
+    # lower end is convex in y and its upper end concave, so the rows
+    # that keep a start form one interval
+    rows = []
+    for y in range(y_lo, y_hi):
+        a = max(x_lo, s.lo - shift - min(c0 * y, c1 * y))
+        b = min(x_hi, s.hi - shift - max(c0 * y, c1 * y))
+        if a < b:
+            rows.append((y, a, b))
+    if not rows:
+        return None
+    ya, yb = rows[0][0], rows[-1][0] + 1
+    xa, xb = min(r[1] for r in rows), max(r[2] for r in rows)
+    nx, ny = xb - xa, yb - ya
+    # row y of coefficient c reads nx cells from xa + shift + c*y - lo on;
+    # every row holds a start whose terms land, so that lies in (-nx, w)
+    first = [xa + shift + c * y - s.lo for c in (c0, c1) for y in (ya, yb - 1)]
+    left, right = max(0, -min(first)), max(0, max(first) + nx - w)
+    cells = s.mask
+    if left or right:
+        cells = np.zeros(left + w + right, dtype=bool)
+        cells[left : left + w] = s.mask
+    view = sliding_window_view(cells, nx)
+    ok = np.ones((ny, nx), dtype=bool)
+    for c in coefs:
+        j = left + xa + shift + c * ya - s.lo
+        ok &= view[j] if c == 0 else view[j::c][:ny]
+    return xa, ya, ok.T
+
+
+def first_member(box, mask: np.ndarray) -> tuple[int, int] | None:
+    """Lexicographically least (x, y) marked in a mask indexed from the
+    box's lower corner, or None if the mask is empty."""
+    hits = np.flatnonzero(mask)
+    if hits.size == 0:
+        return None
+    # row-major order is lexicographic order on (x, y)
+    x, y = divmod(int(hits[0]), mask.shape[1])
+    return (box[0] + x, box[2] + y)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +479,7 @@ def contains_square(m: WindowSet2D, side: int) -> tuple[int, int] | None:
         if bit == "1":
             sq = _erode_by(sq, 1)
             reached += 1
-    hits = np.flatnonzero(sq)
-    if hits.size == 0:
-        return None
-    # row-major order is lexicographic order on (x, y)
-    x, y = divmod(int(hits[0]), sq.shape[1])
-    return (m.x_lo + x, m.y_lo + y)
+    return first_member(m.box, sq)
 
 
 def ps_scale_2d(m: WindowSet2D, radius: int) -> int:

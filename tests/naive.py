@@ -9,6 +9,18 @@ from __future__ import annotations
 import itertools
 
 
+def points_in_box(x_lo: int, x_hi: int, y_lo: int, y_hi: int, points):
+    """The arguments of a 2D window set over the box that holds exactly
+    these points: the four bounds, then the mask as nested lists indexed
+    [x - x_lo][y - y_lo]."""
+    pts = set(points)
+    for x, y in pts:
+        if not (x_lo <= x < x_hi and y_lo <= y < y_hi):
+            raise ValueError(f"point ({x}, {y}) outside the box")
+    mask = [[(x, y) in pts for y in range(y_lo, y_hi)] for x in range(x_lo, x_hi)]
+    return x_lo, x_hi, y_lo, y_hi, mask
+
+
 def shifted_union_1d(members: set[int], lo: int, hi: int, radius: int):
     """Returns (member set, out_lo, out_hi) for the union of shifts 1..radius."""
     out = set()

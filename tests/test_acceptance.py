@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 The W(2,5) stretch case is not gating; opt in with SYNDETIC_STRETCH=1.
 """
 
+import dataclasses
+import hashlib
 import itertools
 import os
 import time
@@ -85,6 +87,12 @@ def build_corpus():
     return instances
 
 
+# sha256 pins of the outputs: a change that moves any certificate byte or
+# verdict detail must update these on purpose
+THEOREM2_OUTPUTS = "468c48877bee118c19d614506b09c304ce23e8f1facd951b403a7661c374bdd1"
+MUTATION_VERDICTS = "42c7b51145a079223e3d0352b3bbec33ebfc143cedbb1b11403d947b7ebe683a"
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus()
@@ -136,10 +144,15 @@ def test_theorem2_end_to_end(corpus):
     with criterion("theorem2-end-to-end"):
         assert len(corpus) >= 50
         t0 = time.perf_counter()
+        outputs = hashlib.sha256()
         for name, s, radius, steps in corpus:
             cert = fg_construct(s, radius, steps)
             verdict = verify_fg(cert, s)
             assert verdict.passed, (name, verdict)
+            outputs.update(repr(dataclasses.replace(cert, ap_pairs=None)).encode())
+            outputs.update(repr(cert.ap_pairs.box).encode())
+            outputs.update(cert.ap_pairs.points().tobytes())
+            outputs.update(repr(verdict).encode())
             pts = cert.ap_pairs.points()
             assert pts.shape[0] > 0, name
             for i in range(steps + 1):
@@ -151,6 +164,8 @@ def test_theorem2_end_to_end(corpus):
             assert ps_scale_2d(cert.ap_pairs, cert.radius_2d) >= cert.length_out, name
         total = time.perf_counter() - t0
         assert total < 600, f"corpus took {total:.1f}s"
+        # every certificate field and pair, and every verdict, pinned
+        assert outputs.hexdigest() == THEOREM2_OUTPUTS
 
 
 def test_theorem1_on_corpus(corpus):
@@ -318,12 +333,12 @@ def mutations(cert, s):
         ):
             shifted = list(pts)
             shifted[idx] = (a + 1, d)
-            moved = WindowSet2D.from_points(
+            moved = WindowSet2D(*naive.points_in_box(
                 box[0], max(box[1], a + 2), box[2], box[3], set(shifted)
-            )
+            ))
             break
     assert moved is not None, "golden certificate admits no breaking point move"
-    dropped = WindowSet2D.from_points(box[0], box[1], box[2], box[3], pts[1:])
+    dropped = WindowSet2D(*naive.points_in_box(box[0], box[1], box[2], box[3], pts[1:]))
 
     return [
         ("digest-flip", cert.with_field(digest=bad_digest)),
@@ -355,6 +370,7 @@ def test_verifier_mutation_suite():
             (striped_set((0, 90), 5, 2), 2, 2),
             (periodic_set((0, 90), 3, [0, 1]), 2, 2),
         ]
+        verdicts = hashlib.sha256()
         for s, radius, steps in goldens:
             cert = fg_construct(s, radius, steps)
             assert verify_fg(cert, s).passed
@@ -366,8 +382,11 @@ def test_verifier_mutation_suite():
                 try:
                     verdict = verify_fg(bad, s)
                     outcome = "pass" if verdict.passed else "fail"
+                    line = f"{name} {verdict.failed_claim} {verdict.detail}\n"
+                    verdicts.update(line.encode())
                 except DigestMismatchError:
                     outcome = "refuse"
+                    verdicts.update(f"{name} refuse\n".encode())
                 if expectation in ("fail", "refuse"):
                     semantic += 1
                     assert outcome in ("fail", "refuse"), (
@@ -379,6 +398,8 @@ def test_verifier_mutation_suite():
                     )
             # the suite must actually exercise semantic breakage
             assert semantic >= 14
+        # the claim and detail of all 40 verdicts, pinned
+        assert verdicts.hexdigest() == MUTATION_VERDICTS
 
 
 def test_byte_determinism(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +163,9 @@ class TestVerify:
         )
         pts[idx] = (pts[idx][0] + 1, pts[idx][1])
         box = striped_cert.ap_pairs.box
-        moved = WindowSet2D.from_points(
+        moved = WindowSet2D(*naive.points_in_box(
             box[0], max(box[1], pts[idx][0] + 1), box[2], box[3], set(pts)
-        )
+        ))
         bad = striped_cert.with_field(ap_pairs=moved)
         verdict = verify_fg(bad, striped_input)
         assert not verdict.passed
@@ -236,6 +237,23 @@ class TestVerify:
             f"claimed {striped_cert.pair_count}, recounted {len(hits)}"
         )
 
+    @pytest.mark.parametrize(
+        "fields,claim",
+        [
+            ({"steps": 10**15}, "ap_membership"),
+            ({"span": 10**15, "span_exhaustive": False}, "pair_preimage"),
+        ],
+    )
+    def test_huge_term_count_fails_quickly(self, fields, claim):
+        # at most width + 1 terms are probed: a nonzero step leaves the
+        # window by then, and a zero step repeats its first term
+        s = striped_set((0, 200), 5, 2)
+        bad = fg_construct(s, 2, 2).with_field(**fields)
+        t0 = time.perf_counter()
+        verdict = verify_fg(bad, s)
+        assert time.perf_counter() - t0 < 1.0
+        assert verdict.failed_claim == claim
+
     @given(
         st.integers(-20, 20),
         st.lists(st.booleans(), min_size=1, max_size=30),
@@ -271,6 +289,102 @@ class TestVerify:
                 assert "pipeline" not in (node.module or "")
             if isinstance(node, ast.Import):
                 assert all("pipeline" not in a.name for a in node.names)
+
+
+def first_probe_failure(cert, s):
+    """(claim, detail) of the first ap_membership or pair_preimage failure,
+    recomputed point by point in pt order from the definitions, or None."""
+    members = set(s.members().tolist())
+    union, _, _ = naive.shifted_union_1d(members, s.lo, s.hi, cert.radius)
+    pts = [tuple(p) for p in cert.ap_pairs.points().tolist()]
+    for a, d in pts:
+        if not naive.progression_in(members, a, d, cert.steps + 1):
+            return "ap_membership", f"pair ({a}, {d}) leaves the set"
+    for _, d in pts:
+        if d % cert.stride:
+            return "pair_preimage", (
+                f"pair step {d} is not a multiple of stride {cert.stride}"
+            )
+    pre = [
+        (a - cert.offset * (d // cert.stride) - cert.shift, d // cert.stride)
+        for a, d in pts
+    ]
+    bx = cert.pair_box
+    for x, p in pre:
+        if not (bx[0] <= x < bx[1] and bx[2] <= p < bx[3]):
+            return "pair_preimage", f"preimage ({x}, {p}) leaves the pair box"
+    for x, p in pre:
+        if not naive.progression_in(union, x, p, cert.span + 1):
+            return "pair_preimage", f"preimage ({x}, {p}) is not a progression pair"
+    return None
+
+
+class TestVerdictDetails:
+    """Each failing membership or preimage branch names the same pair as a
+    per-point recomputation: the first failing one in pt order, which for
+    the preimage branches is the order of the image."""
+
+    BRANCHES = (
+        "leaves the set",
+        "is not a multiple of stride",
+        "leaves the pair box",
+        "is not a progression pair",
+    )
+
+    @pytest.mark.parametrize(
+        "s", [striped_set((0, 120), 5, 2), periodic_set((0, 90), 3, [0, 1])]
+    )
+    def test_details_match_per_point_recomputation(self, s):
+        rng = np.random.default_rng(20261018)
+        cert = fg_construct(s, 2, 2)
+        k, span = cert.steps, cert.span
+        members = set(s.members().tolist())
+        x_lo, x_hi, y_lo, y_hi = cert.ap_pairs.box
+        box = (x_lo - 6, x_hi + 6, y_lo - 3, y_hi + 3)
+        cells = [(a, d) for a in range(box[0], box[1]) for d in range(box[2], box[3])]
+        valid = [c for c in cells if naive.progression_in(members, *c, k + 1)]
+        invalid = [c for c in cells if not naive.progression_in(members, *c, k + 1)]
+        seen = dict.fromkeys(self.BRANCHES, 0)
+        for _ in range(80):
+            triple = {}
+            if rng.random() < 0.5:
+                stride = int(rng.integers(1, span // k + 1))
+                triple = dict(
+                    stride=stride,
+                    offset=int(rng.integers(0, span - k * stride + 1)),
+                    shift=int(rng.integers(1, cert.radius + 1)),
+                )
+            stride = triple.get("stride", cert.stride)
+            pts = [c for c in valid if rng.random() < rng.uniform(0.05, 0.9)]
+            if rng.random() < 0.5:
+                pts = [c for c in pts if c[1] % stride == 0]
+            if rng.random() < 0.3:
+                pts += [invalid[i] for i in rng.integers(0, len(invalid), size=2)]
+            if not pts:
+                continue
+            pair_box = cert.pair_box
+            if rng.random() < 0.4:
+                cut = rng.integers(0, 12, size=4).tolist()
+                pair_box = (
+                    pair_box[0] + cut[0], pair_box[1] - cut[1],
+                    pair_box[2] + cut[2] // 3, pair_box[3] - cut[3] // 3,
+                )
+            elif rng.random() < 0.5:
+                pair_box = (-1000, 1000, -100, 100)
+            bad = cert.with_field(
+                ap_pairs=WindowSet2D(*naive.points_in_box(*box, pts)),
+                pair_box=pair_box,
+                length_out=0,
+                **triple,
+            )
+            verdict = verify_fg(bad, s)
+            want = first_probe_failure(bad, s)
+            if want is None:
+                assert verdict.failed_claim not in ("ap_membership", "pair_preimage")
+                continue
+            assert (verdict.failed_claim, verdict.detail) == want
+            seen[next(b for b in self.BRANCHES if b in want[1])] += 1
+        assert all(seen.values()), seen
 
 
 class TestDigest:

@@ -226,6 +226,27 @@ class TestConstructAndVerify:
         assert got == code
         assert out.splitlines()[1].startswith(verdict)
 
+    @pytest.mark.parametrize(
+        "edits,verdict",
+        [
+            ({"k": "1000000000000000"}, "FAIL ap_membership"),
+            ({"span": "1000000000000000", "exhaustive": "0"}, "FAIL pair_preimage"),
+        ],
+    )
+    def test_verify_huge_term_count_gets_a_verdict(self, tmp_path, capsys, edits, verdict):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        for i, line in enumerate(lines):
+            key = line.split()[0]
+            if key in edits:
+                lines[i] = f"{key} {edits[key]}"
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", str(certp), setp)
+        assert code == 1
+        assert out.splitlines()[1].startswith(verdict)
+
     def test_verify_refuses_foreign_set(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         otherp = write_set(tmp_path, "o.set", striped_set((0, 200), 5, 3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import naive
 from syndetic.certificate import serialize, verify_fg
@@ -60,6 +61,29 @@ class TestProgressionPairs:
         assert set(map(tuple, got.pairs.points().tolist())) == want
         assert got.boundary_excluded == excluded
 
+    @given(
+        st.integers(-20, 20),
+        st.lists(st.booleans(), min_size=1, max_size=30),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.tuples(st.integers(-40, 40), st.integers(1, 40)),
+        st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+    )
+    def test_matches_naive_on_any_box(self, lo, bits, radius, span, xs, ys):
+        # boxes reach past the union's window on every side
+        s = WindowSet1D(lo, lo + len(bits), bits)
+        box = (xs[0], xs[0] + xs[1], ys[0], ys[0] + ys[1])
+        want, excluded = naive.progression_pairs(
+            members_of(s), s.lo, s.hi, radius, span, box
+        )
+        if excluded == xs[1] * ys[1]:
+            with pytest.raises(ConstructionError, match="outside the feasible"):
+                progression_pairs(s, radius, span, box)
+            return
+        got = progression_pairs(s, radius, span, box)
+        assert set(map(tuple, got.pairs.points().tolist())) == want
+        assert got.boundary_excluded == excluded
+
     def test_unreachable_box_rejected(self):
         s = WindowSet1D.full(0, 10)
         with pytest.raises(ConstructionError, match="outside the feasible"):
@@ -90,14 +114,14 @@ class TestVerifiedTriple:
 
     def test_single_shift_periodic(self):
         s = WindowSet1D.full(0, 60)
-        pair = WindowSet2D.from_points(10, 11, 1, 2, [(10, 1)])
+        pair = WindowSet2D(*naive.points_in_box(10, 11, 1, 2, [(10, 1)]))
         classes = color_classes(s, pair, radius=1, span=2, steps=2)
         assert classes == {ColorTriple(offset=0, stride=1, shift=1): pair}
 
     def test_zero_step_takes_least_witnessing_shift(self):
         # 11 is absent, 12 present: the constant progression at 10 needs shift 2
         s = WindowSet1D.from_members(0, 30, [4, 6, 8, 10, 12, 14, 16])
-        pair = WindowSet2D.from_points(10, 11, 0, 1, [(10, 0)])
+        pair = WindowSet2D(*naive.points_in_box(10, 11, 0, 1, [(10, 0)]))
         classes = color_classes(s, pair, radius=2, span=2, steps=1)
         assert classes == {ColorTriple(offset=0, stride=1, shift=2): pair}
 
@@ -136,7 +160,7 @@ class TestColorClasses:
 
 class TestPigeonholeExtract:
     def test_single_class(self):
-        cls = WindowSet2D.from_points(0, 4, 0, 4, [(1, 1), (1, 2)])
+        cls = WindowSet2D(*naive.points_in_box(0, 4, 0, 4, [(1, 1), (1, 2)]))
         triple = ColorTriple(0, 1, 1)
         got = pigeonhole_extract({triple: cls}, 2)
         assert got[0] == triple and got[1] == cls
@@ -153,7 +177,7 @@ class TestPigeonholeExtract:
         assert got[0] == ColorTriple(1, 1, 1)
 
     def test_tie_breaks_to_least_triple(self):
-        a = WindowSet2D.from_points(0, 3, 0, 3, [(0, 0)])
+        a = WindowSet2D(*naive.points_in_box(0, 3, 0, 3, [(0, 0)]))
         got = pigeonhole_extract(
             {ColorTriple(2, 1, 1): a, ColorTriple(0, 1, 1): a, ColorTriple(0, 1, 2): a},
             1,
@@ -192,18 +216,18 @@ class TestPigeonholeExtract:
 
 class TestAffineImage:
     def test_identity_on_members(self):
-        m = WindowSet2D.from_points(0, 5, 0, 5, [(1, 2), (3, 4)])
+        m = WindowSet2D(*naive.points_in_box(0, 5, 0, 5, [(1, 2), (3, 4)]))
         got = affine_image(m, AffineMap2D(0, 0, 1))
         assert got.points().tolist() == m.points().tolist()
         # the box always shrinks to the hull of the images
         assert got.box == (1, 4, 2, 5)
 
     def test_identity_exact_when_members_touch_the_box(self):
-        m = WindowSet2D.from_points(0, 5, 0, 5, [(0, 0), (4, 4)])
+        m = WindowSet2D(*naive.points_in_box(0, 5, 0, 5, [(0, 0), (4, 4)]))
         assert affine_image(m, AffineMap2D(0, 0, 1)) == m
 
     def test_single_point(self):
-        m = WindowSet2D.from_points(0, 3, 0, 3, [(1, 2)])
+        m = WindowSet2D(*naive.points_in_box(0, 3, 0, 3, [(1, 2)]))
         got = affine_image(m, AffineMap2D(shear=3, shift=4, scale=5))
         assert [tuple(p) for p in got.points().tolist()] == [(11, 10)]
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import naive
+
 from syndetic.textio import (
     SetFormatError,
     dump_coloring,
@@ -23,10 +25,10 @@ sets_1d = st.builds(
 )
 
 sets_2d = st.builds(
-    lambda xlo, ylo, wx, wy, pick: WindowSet2D.from_points(
+    lambda xlo, ylo, wx, wy, pick: WindowSet2D(*naive.points_in_box(
         xlo, xlo + wx, ylo, ylo + wy,
         [(xlo + i, ylo + j) for i, j in pick if i < wx and j < wy],
-    ),
+    )),
     st.integers(-9, 9),
     st.integers(-9, 9),
     st.integers(1, 12),
@@ -117,14 +119,14 @@ class TestTooWideToAllocate:
 
 class TestWindow2DFormat:
     def test_canonical_rowruns(self):
-        m = WindowSet2D.from_points(0, 4, -1, 1, [(0, -1), (1, -1), (3, 0)])
+        m = WindowSet2D(*naive.points_in_box(0, 4, -1, 1, [(0, -1), (1, -1), (3, 0)]))
         assert dump_window2d(m) == "window2d 0 4 -1 1\nrowrun -1 0 2\nrowrun 0 3 4\n"
 
     def test_pt_lines_accepted(self):
         text = "window2d 0 3 0 3\npt 1 2\npt 0 0\n"
-        assert load_window2d(text) == WindowSet2D.from_points(
+        assert load_window2d(text) == WindowSet2D(*naive.points_in_box(
             0, 3, 0, 3, [(0, 0), (1, 2)]
-        )
+        ))
 
     @given(sets_2d)
     def test_round_trip(self, m):

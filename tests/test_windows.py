@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import naive
+from syndetic import windows
 from syndetic.windows import (
     PSWitness1D,
     Scale,
@@ -32,10 +35,10 @@ sets_1d = st.builds(
 )
 
 sets_2d = st.builds(
-    lambda xlo, ylo, wx, wy, pick: WindowSet2D.from_points(
+    lambda xlo, ylo, wx, wy, pick: WindowSet2D(*naive.points_in_box(
         xlo, xlo + wx, ylo, ylo + wy,
         [(xlo + i, ylo + j) for i, j in pick if i < wx and j < wy],
-    ),
+    )),
     st.integers(-8, 8),
     st.integers(-8, 8),
     st.integers(1, 10),
@@ -129,29 +132,86 @@ class TestMembersAt:
         assert s.members_at(np.int64(0)) and not s.members_at(np.int64(-3))
 
 
+@st.composite
+def probe_boxes(draw):
+    """A set anywhere in int64, a box of starts that may lie past the
+    window on either side, steps of either sign, an arithmetic range of
+    coefficients of either sign (at times longer than the window) and a
+    shift of either sign."""
+    s = draw(int64_windows())
+    wx, wy = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    x_lo = draw(st.integers(max(INT64_MIN, s.lo - 60), min(INT64_MAX - wx, s.hi + 50)))
+    y_lo = draw(st.integers(-10, 10))
+    first = draw(st.integers(-12, 12))
+    every = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    count = draw(st.one_of(st.integers(1, 6), st.integers(s.width, s.width + 3)))
+    shift = draw(st.integers(-20, 20))
+    box = (x_lo, x_lo + wx, y_lo, y_lo + wy)
+    return s, box, range(first, first + every * count, every), shift
+
+
 class TestProgressionsIn:
-    @given(
-        sets_1d,
-        st.lists(st.integers(-30, 70), min_size=1, max_size=6),
-        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
-        st.integers(0, 6),
-    )
-    def test_matches_naive(self, s, starts, steps, terms):
+    @example((WindowSet1D.from_members(0, 10, [2, 4, 6, 8]), (1, 4, -3, 4), range(4), 1))
+    @example((WindowSet1D.full(INT64_MIN, INT64_MIN + 3), (INT64_MIN, INT64_MIN + 5, -2, 3),
+              range(-1, 9), 2))
+    @example((WindowSet1D.full(INT64_MAX - 3, INT64_MAX), (INT64_MAX - 6, INT64_MAX, -2, 3),
+              range(3, -7, -1), -1))
+    @given(probe_boxes())
+    def test_matches_naive(self, case):
+        s, (x_lo, x_hi, y_lo, y_hi), coefs, shift = case
         members = set(s.members().tolist())
-        got = progressions_in(
-            s, np.array(starts)[:, None], np.array(steps)[None, :], terms
-        )
+        got = progressions_in(s, (x_lo, x_hi, y_lo, y_hi), coefs, shift)
+        # x + shift + c*y for c in coefs is a progression in i with step coefs.step*y
         want = [
-            [naive.progression_in(members, a, d, terms) for d in steps]
-            for a in starts
+            [
+                naive.progression_in(
+                    members, x + shift + coefs[0] * y, coefs.step * y, len(coefs)
+                )
+                for y in range(y_lo, y_hi)
+            ]
+            for x in range(x_lo, x_hi)
         ]
         assert got.tolist() == want
 
     def test_zero_and_negative_steps(self):
         s = WindowSet1D.from_members(0, 10, [2, 4, 6, 8])
-        got = progressions_in(s, np.array([8, 8, 2, 3]), np.array([-2, 0, 0, 2]), 4)
-        assert got.tolist() == [True, True, True, False]
-        assert progressions_in(s, 2, 2, 4) and not progressions_in(s, 2, 2, 5)
+        got = progressions_in(s, (2, 9, -2, 3), range(4))
+        # column y = -2 holds the progression 8, 6, 4, 2; y = 0 every member
+        assert got[:, 0].tolist() == [False] * 6 + [True]
+        assert got[:, 2].tolist() == [x in (2, 4, 6, 8) for x in range(2, 9)]
+        assert got[:, 4].tolist() == [True] + [False] * 6
+        assert not got[:, [1, 3]].any()
+        assert progressions_in(s, (1, 2, 2, 3), range(4), 1)[0, 0]
+        assert not progressions_in(s, (1, 2, 2, 3), range(5), 1)[0, 0]
+
+    def test_terms_capped_at_width(self):
+        # 10**15 terms: a nonzero step leaves the window, a zero step repeats
+        s = WindowSet1D.full(0, 50)
+        got = progressions_in(s, (0, 50, -1, 2), range(10**15))
+        assert got[:, 1].all() and not got[:, [0, 2]].any()
+
+    def test_empty_coefs_rejected(self):
+        with pytest.raises(ValueError):
+            progressions_in(WindowSet1D.full(0, 3), (0, 1, 0, 1), range(0))
+
+    @pytest.mark.parametrize("coefs, shift", [
+        (range(9), 0), (range(-3, 6), 4), (range(5, 8), -7), (range(7, -2, -1), 10**15),
+    ])
+    def test_padding_bounded_by_width(self, coefs, shift):
+        # only rows and starts whose terms can land are probed, so a box
+        # 10**18 wide costs a few copies of the window, not of the box
+        s = WindowSet1D.full(-5_000, 5_000)
+        box = (-(10**18), 10**18, -3, 4)
+        tracemalloc.start()
+        try:
+            block = windows._probe(s, box, coefs, shift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block's rows, plus a padded copy of at most three widths
+        x, y, ok = block
+        assert ok.shape[0] < 2 * s.width and ok.shape[1] == box[3] - box[2]
+        assert peak < s.width * (box[3] - box[2] + 3)
 
 
 class TestContainsInterval:
@@ -301,19 +361,19 @@ class TestWindowSet2D:
             WindowSet2D.empty(0, 0, 0, 5)
 
     def test_out_of_box_query_raises(self):
-        m = WindowSet2D.from_points(0, 3, 0, 3, [(1, 1)])
+        m = WindowSet2D(*naive.points_in_box(0, 3, 0, 3, [(1, 1)]))
         assert m.contains(1, 1)
         with pytest.raises(WindowError):
             m.contains(3, 0)
 
     def test_points_sorted_lexicographically(self):
-        m = WindowSet2D.from_points(0, 4, 0, 4, [(2, 1), (0, 3), (2, 0)])
+        m = WindowSet2D(*naive.points_in_box(0, 4, 0, 4, [(2, 1), (0, 3), (2, 0)]))
         assert [tuple(p) for p in m.points().tolist()] == [(0, 3), (2, 0), (2, 1)]
 
 
 class TestShiftedUnion2D:
     def test_singleton_shift(self):
-        m = WindowSet2D.from_points(0, 10, 0, 10, [(5, 5)])
+        m = WindowSet2D(*naive.points_in_box(0, 10, 0, 10, [(5, 5)]))
         u = shifted_union_2d(m, 1)
         assert [tuple(p) for p in u.points().tolist()] == [(4, 4)]
 
@@ -321,7 +381,7 @@ class TestShiftedUnion2D:
         assert shifted_union_2d(WindowSet2D.empty(0, 5, 0, 5), 2).is_empty()
 
     def test_two_points_radius_two(self):
-        m = WindowSet2D.from_points(0, 2, 0, 2, [(0, 0), (1, 1)])
+        m = WindowSet2D(*naive.points_in_box(0, 2, 0, 2, [(0, 0), (1, 1)]))
         u = shifted_union_2d(m, 2)
         assert u.box == (-2, 1, -2, 1)
         assert set(map(tuple, u.points().tolist())) == {
@@ -345,7 +405,7 @@ class TestContainsSquare:
     def test_hole_in_every_block(self):
         # (x + y) even leaves a hole in every 2x2 block
         pts = [(x, y) for x in range(6) for y in range(6) if (x + y) % 2 == 0]
-        m = WindowSet2D.from_points(0, 6, 0, 6, pts)
+        m = WindowSet2D(*naive.points_in_box(0, 6, 0, 6, pts))
         assert contains_square(m, 2) is None
 
     def test_result_verified_by_membership(self):
