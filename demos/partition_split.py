@@ -36,13 +36,13 @@ assert is_ps_at_scale(cells[got.index], got.scale) is not None
 # A random 4-way split: whichever cell wins, its witness re-verifies.
 rng = np.random.default_rng(3)
 labels = rng.integers(0, 4, size=len(members))
-random_cells = [
+random_split = [
     WindowSet1D.from_members(0, 400, [m for m, l in zip(members, labels) if l == c])
     for c in range(4)
 ]
-got = partition_extract(s, random_cells, 2)
+got = partition_extract(s, random_split, 2)
 print("\nrandom split winner:", got.index, "| scale:", got.scale)
 
 # The winning cell is still rich enough to contain progressions.
-pair = find_nontrivial_ap(random_cells[got.index], got.scale.radius, 1)
+pair = find_nontrivial_ap(random_split[got.index], got.scale.radius, 1)
 print("a verified 2-term progression inside it:", pair)

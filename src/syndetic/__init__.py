@@ -43,9 +43,7 @@ from .textio import (
     dump_coloring,
     dump_vdw_result,
     dump_window1d,
-    dump_window2d,
     load_window1d,
-    load_window2d,
 )
 from .vdw import (
     DEFAULT_BUDGET,
@@ -66,7 +64,6 @@ from .windows import (
     WindowSet1D,
     WindowSet2D,
     contains_interval,
-    contains_square,
     is_ps_at_scale,
     max_run_length,
     ps_scale_1d,

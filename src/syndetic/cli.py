@@ -136,7 +136,6 @@ def _cmd_construct(args) -> int:
         radius_2d=args.r2d,
         budget=args.budget,
         min_length=args.min_scale,
-        workers=args.workers,
     )
     doc = _header(args, ["input", "radius", "steps", "r2d", "min_scale"]) + serialize(cert)
     _emit(args, doc)

@@ -229,9 +229,9 @@ def pigeonhole_extract(
     """Class with the best 2D scale at radius_2d; ties go to the least
     triple.  Returns (triple, class, achieved scale).
 
-    Scoring is sequential; ``workers`` is validated and accepted so that
-    callers may pass a worker count, but it changes neither speed nor
-    result.
+    Scoring is sequential.  ``workers`` is validated but changes neither
+    speed nor result; it stays only because the benchmark's stage replay
+    passes it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -299,7 +299,6 @@ def fg_construct(
     box: tuple[int, int, int, int] | None = None,
     box_area: int = 200_000,
     step_cap: int = 16,
-    workers: int = 1,
 ) -> FgCertificate:
     """Run the whole construction and return its certificate.
 
@@ -336,7 +335,7 @@ def fg_construct(
     if ps.pairs.count == 0:
         raise ConstructionError(f"no progression pairs inside box {box}")
     classes = color_classes(s, ps.pairs, radius=radius, span=span, steps=steps)
-    triple, chosen, _ = pigeonhole_extract(classes, radius_2d, workers=workers)
+    triple, chosen, _ = pigeonhole_extract(classes, radius_2d)
     image = affine_image(
         chosen,
         AffineMap2D(shear=triple.offset, shift=triple.shift, scale=triple.stride),
@@ -391,12 +390,11 @@ def find_nontrivial_ap(
     if run_start is None:
         raise ScalePreconditionError(radius, need, max_run_length(u))
     # each union member's color is its least shift t with p + t in s
-    p = np.arange(run_start, run_start + need, dtype=np.int64)
-    hits = s.members_at(p[:, None] + np.arange(1, radius + 1))
+    hits = progressions_in(s, (run_start, run_start + need, 1, radius + 1), range(1, 2))
     found = hits.any(axis=1)
     if not found.all():
         j = int(np.flatnonzero(~found)[0])
-        raise PhiSearchError(f"union member {p[j]} has no witnessing shift")
+        raise PhiSearchError(f"union member {run_start + j} has no witnessing shift")
     values = (hits.argmax(axis=1) + 1).tolist()
     mono = find_mono_ap(Coloring(tuple(values), radius), steps + 1)
     if mono is None:
@@ -431,15 +429,17 @@ def partition_extract(
         raise ValueError(f"radius must be >= 1, got {radius}")
     if gap_budget < 1:
         raise ValueError(f"gap_budget must be >= 1, got {gap_budget}")
-    coverage = np.zeros(s.width, dtype=np.int16)
+    covered = np.zeros(s.width, dtype=bool)
     for cell in cells:
         if (cell.lo, cell.hi) != (s.lo, s.hi):
             raise PartitionError(
                 f"cell window [{cell.lo}, {cell.hi}) differs from "
                 f"[{s.lo}, {s.hi})"
             )
-        coverage += cell.mask
-    if not np.array_equal(coverage, s.mask.astype(np.int16)):
+        if (covered & cell.mask).any():
+            raise PartitionError("cells are not a disjoint cover of the set")
+        covered |= cell.mask
+    if not np.array_equal(covered, s.mask):
         raise PartitionError("cells are not a disjoint cover of the set")
     top = radius * gap_budget
     scores = tuple(ps_scale_1d(cell, top) for cell in cells)

@@ -1,4 +1,4 @@
-"""Plain-text serialization of window sets, colorings, and search results.
+"""Plain-text serialization of 1D window sets, colorings, and search results.
 
 All formats are line based with space-separated fields.  Lines starting
 with ``#`` and blank lines are ignored on input.  Writers emit a canonical
@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from .vdw import Coloring, VdwResult
-from .windows import WindowSet1D, WindowSet2D, run_edges
+from .windows import WindowSet1D, run_edges
 
 __all__ = [
     "SetFormatError",
@@ -26,8 +26,6 @@ __all__ = [
     "allocate",
     "dump_window1d",
     "load_window1d",
-    "dump_window2d",
-    "load_window2d",
     "dump_coloring",
     "dump_vdw_result",
 ]
@@ -168,52 +166,6 @@ def load_window1d(text: str) -> WindowSet1D:
         raise RuntimeError("bulk run check rejected runs the line loop accepts")
     np.cumsum(cover, out=cover)
     return WindowSet1D(lo, hi, cover[:-1] > 0)
-
-
-def dump_window2d(m: WindowSet2D) -> str:
-    lines = [f"window2d {m.x_lo} {m.x_hi} {m.y_lo} {m.y_hi}"]
-    for iy in range(m.y_hi - m.y_lo):
-        starts, ends = run_edges(m.mask[:, iy])
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            lines.append(f"rowrun {m.y_lo + iy} {m.x_lo + a} {m.x_lo + b}")
-    return "\n".join(lines) + "\n"
-
-
-def load_window2d(text: str) -> WindowSet2D:
-    lines = significant_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise SetFormatError(0, "empty document") from None
-    tok = header.split()
-    if tok[0] != "window2d":
-        raise SetFormatError(lineno, f"expected window2d header, got {tok[0]!r}")
-    x_lo, x_hi, y_lo, y_hi = _ints(lineno, tok[1:], 4, "window2d")
-    if x_lo >= x_hi or y_lo >= y_hi:
-        raise SetFormatError(lineno, "box is empty")
-    too_wide = SetFormatError(lineno, "box is too wide to allocate")
-    if not fits_int64(x_hi - x_lo, y_hi - y_lo):
-        raise too_wide
-    if not fits_int64(x_lo, x_hi, y_lo, y_hi):
-        raise SetFormatError(lineno, "box leaves the int64 range")
-    mask = allocate((x_hi - x_lo, y_hi - y_lo), bool, too_wide)
-    for lineno, line in lines:
-        tok = line.split()
-        if tok[0] == "pt":
-            x, y = _ints(lineno, tok[1:], 2, "pt")
-            if not (x_lo <= x < x_hi and y_lo <= y < y_hi):
-                raise SetFormatError(lineno, f"point ({x}, {y}) leaves the box")
-            mask[x - x_lo, y - y_lo] = True
-        elif tok[0] == "rowrun":
-            y, a, b = _ints(lineno, tok[1:], 3, "rowrun")
-            if a >= b:
-                raise SetFormatError(lineno, f"rowrun [{a}, {b}) is empty")
-            if not (y_lo <= y < y_hi) or a < x_lo or b > x_hi:
-                raise SetFormatError(lineno, f"rowrun y={y} [{a}, {b}) leaves the box")
-            mask[a - x_lo : b - x_lo, y - y_lo] = True
-        else:
-            raise SetFormatError(lineno, f"expected pt or rowrun, got {tok[0]!r}")
-    return WindowSet2D(x_lo, x_hi, y_lo, y_hi, mask)
 
 
 def dump_coloring(c: Coloring) -> str:

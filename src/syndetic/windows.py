@@ -7,11 +7,11 @@ syndeticity -- become scale-indexed predicates here: each check fixes a
 shift radius and a run length and returns an explicit witness on success.
 
 Boundary policy: a scalar query (``contains``) outside the window raises
-:class:`WindowError`.  The vectorized probes count a point outside the
-window as absent: ``members_at`` per point, and ``progressions_in`` over a
-box, where rows and starts with a term that must leave the window are
-absent without being probed.  The pipeline's scans and the verifier's
-recounts near a boundary are then conservative, never optimistic.
+:class:`WindowError`.  The one vectorized probe, ``progressions_in`` over a
+box of starts and steps, counts a term outside the window as absent: rows
+and starts with a term that must leave the window are absent without being
+probed.  The pipeline's scans and the verifier's recounts near a boundary
+are then conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -40,7 +40,6 @@ __all__ = [
     "is_ps_at_scale",
     "ps_scale_1d",
     "shifted_union_2d",
-    "contains_square",
     "ps_scale_2d",
 ]
 
@@ -81,26 +80,22 @@ def _as_int(name: str, value) -> int:
 class WindowSet1D:
     """Subset of the integer window [lo, hi), one bit per integer."""
 
-    __slots__ = ("lo", "hi", "_mask", "_cells")
+    __slots__ = ("lo", "hi", "_mask")
 
     def __init__(self, lo: int, hi: int, mask: np.ndarray):
         lo = _as_int("lo", lo)
         hi = _as_int("hi", hi)
         if lo >= hi:
             raise WindowError(f"window [{lo}, {hi}) is empty")
-        arr = np.asarray(mask, dtype=bool)
+        arr = np.array(mask, dtype=bool, copy=True)
         if arr.shape != (hi - lo,):
             raise WindowError(
                 f"mask of shape {arr.shape} does not fit window [{lo}, {hi})"
             )
-        # one absent cell past the end, where members_at sends outside points
-        cells = np.zeros(hi - lo + 1, dtype=bool)
-        cells[:-1] = arr
-        cells.setflags(write=False)
+        arr.setflags(write=False)
         self.lo = lo
         self.hi = hi
-        self._cells = cells
-        self._mask = cells[:-1]
+        self._mask = arr
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet1D":
@@ -116,14 +111,6 @@ class WindowSet1D:
                 raise WindowError(f"member {bad} outside window [{lo}, {hi})")
             arr[pts - lo] = True
         return cls(lo, hi, arr)
-
-    @classmethod
-    def empty(cls, lo: int, hi: int) -> "WindowSet1D":
-        return cls(lo, hi, np.zeros(hi - lo, dtype=bool))
-
-    @classmethod
-    def full(cls, lo: int, hi: int) -> "WindowSet1D":
-        return cls(lo, hi, np.ones(hi - lo, dtype=bool))
 
     @property
     def mask(self) -> np.ndarray:
@@ -151,23 +138,6 @@ class WindowSet1D:
         if not self.covers(m):
             raise WindowError(f"query {m} outside window [{self.lo}, {self.hi})")
         return bool(self._mask[m - self.lo])
-
-    __contains__ = contains
-
-    def members_at(self, points) -> np.ndarray:
-        """Vectorized membership for an array of int64 points; a point
-        outside the window counts as absent."""
-        pts = np.asarray(points, dtype=np.int64)
-        # p - lo modulo 2**64 is below the width exactly when p is inside,
-        # for every int64 p and lo; any other point goes to the absent cell.
-        # The index fits int64, and numpy casts uint64 indices on every call
-        idx = pts.view(np.uint64) - np.uint64(self.lo % 2**64)
-        return self._cells[np.minimum(idx, np.uint64(self.width)).view(np.int64)]
-
-    def union(self, other: "WindowSet1D") -> "WindowSet1D":
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise WindowError("union requires identical windows")
-        return WindowSet1D(self.lo, self.hi, self._mask | other._mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowSet1D):
@@ -215,10 +185,6 @@ class WindowSet2D:
     @classmethod
     def empty(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> "WindowSet2D":
         return cls(x_lo, x_hi, y_lo, y_hi, np.zeros((x_hi - x_lo, y_hi - y_lo), bool))
-
-    @classmethod
-    def full(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> "WindowSet2D":
-        return cls(x_lo, x_hi, y_lo, y_hi, np.ones((x_hi - x_lo, y_hi - y_lo), bool))
 
     @property
     def mask(self) -> np.ndarray:
@@ -457,29 +423,6 @@ def _erode_by(sq: np.ndarray, b: int) -> np.ndarray:
     leaves an empty array."""
     rows = sq[:-b] & sq[b:]
     return rows[:, :-b] & rows[:, b:]
-
-
-def contains_square(m: WindowSet2D, side: int) -> tuple[int, int] | None:
-    """Lexicographically least lower-left corner of a filled side x side
-    square, or None.
-
-    Erodes to exactly ``side`` along its binary expansion: double the
-    current side, then add one where the bit is set.  Every offset is at
-    most the side reached so far, so each step is exact, and the whole
-    search costs O(area * log side).
-    """
-    side = _as_int("side", side)
-    if side < 1:
-        raise ValueError(f"square side must be >= 1, got {side}")
-    sq = m.mask
-    reached = 1
-    for bit in bin(side)[3:]:
-        sq = _erode_by(sq, reached)
-        reached *= 2
-        if bit == "1":
-            sq = _erode_by(sq, 1)
-            reached += 1
-    return first_member(m.box, sq)
 
 
 def ps_scale_2d(m: WindowSet2D, radius: int) -> int:

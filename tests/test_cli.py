@@ -57,13 +57,13 @@ class TestVdwCommand:
 
 class TestCheckCommand:
     def test_full_window_witness(self, tmp_path, capsys):
-        path = write_set(tmp_path, "full.set", WindowSet1D.full(0, 30))
+        path = write_set(tmp_path, "full.set", WindowSet1D.from_members(0, 30, range(30)))
         code, out, _ = run(capsys, "check1d", path, "1", "29")
         assert code == 0
         assert out.splitlines()[1].startswith("witness ")
 
     def test_empty_set_absent(self, tmp_path, capsys):
-        path = write_set(tmp_path, "empty.set", WindowSet1D.empty(0, 30))
+        path = write_set(tmp_path, "empty.set", WindowSet1D.from_members(0, 30, []))
         code, out, _ = run(capsys, "check1d", path, "1", "2")
         assert code == 1
         assert out.splitlines()[1] == "ABSENT"
@@ -94,13 +94,13 @@ class TestConstructAndVerify:
         assert out.splitlines()[1] == "PASS"
 
     def test_full_window_input(self, tmp_path, capsys):
-        setp = write_set(tmp_path, "f.set", WindowSet1D.full(0, 60))
+        setp = write_set(tmp_path, "f.set", WindowSet1D.from_members(0, 60, range(60)))
         code, out, _ = run(capsys, "construct", setp, "1", "1")
         assert code == 0
         assert "fgcert v1" in out
 
     def test_non_ps_input_exits_three(self, tmp_path, capsys):
-        setp = write_set(tmp_path, "e.set", WindowSet1D.empty(0, 60))
+        setp = write_set(tmp_path, "e.set", WindowSet1D.from_members(0, 60, []))
         code, _, err = run(capsys, "construct", setp, "2", "2")
         assert code == 3
         assert "not piecewise syndetic" in err

@@ -1,19 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-import naive
-
 from syndetic.textio import (
     SetFormatError,
     dump_coloring,
     dump_vdw_result,
     dump_window1d,
-    dump_window2d,
     load_window1d,
-    load_window2d,
 )
 from syndetic.vdw import Coloring, VdwResult, vdw_number
-from syndetic.windows import WindowSet1D, WindowSet2D
+from syndetic.windows import WindowSet1D
 
 sets_1d = st.builds(
     lambda lo, width, pick: WindowSet1D.from_members(
@@ -24,26 +20,13 @@ sets_1d = st.builds(
     st.sets(st.integers(0, 59)),
 )
 
-sets_2d = st.builds(
-    lambda xlo, ylo, wx, wy, pick: WindowSet2D(*naive.points_in_box(
-        xlo, xlo + wx, ylo, ylo + wy,
-        [(xlo + i, ylo + j) for i, j in pick if i < wx and j < wy],
-    )),
-    st.integers(-9, 9),
-    st.integers(-9, 9),
-    st.integers(1, 12),
-    st.integers(1, 12),
-    st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))),
-)
-
-
 class TestWindow1DFormat:
     def test_canonical_runs(self):
         s = WindowSet1D.from_members(-2, 8, [-2, -1, 3, 5, 6])
         assert dump_window1d(s) == "window1d -2 8\nrun -2 0\nrun 3 4\nrun 5 7\n"
 
     def test_empty_set(self):
-        assert dump_window1d(WindowSet1D.empty(0, 4)) == "window1d 0 4\n"
+        assert dump_window1d(WindowSet1D.from_members(0, 4, [])) == "window1d 0 4\n"
 
     @given(sets_1d)
     def test_round_trip(self, s):
@@ -106,61 +89,6 @@ class TestTooWideToAllocate:
             load_window1d(text)
         assert err.value.lineno == lineno
         assert str(err.value).endswith(") is too wide to allocate")
-
-    @pytest.mark.parametrize(
-        "header",
-        [f"window2d 0 {E18} 0 3", f"window2d 0 3 -{E18} 0", f"window2d 0 3 0 {10**20}"],
-    )
-    def test_window2d(self, header):
-        with pytest.raises(SetFormatError) as err:
-            load_window2d(f"# lead\n{header}\npt 1 1\n")
-        assert str(err.value) == "line 2: box is too wide to allocate"
-
-
-class TestWindow2DFormat:
-    def test_canonical_rowruns(self):
-        m = WindowSet2D(*naive.points_in_box(0, 4, -1, 1, [(0, -1), (1, -1), (3, 0)]))
-        assert dump_window2d(m) == "window2d 0 4 -1 1\nrowrun -1 0 2\nrowrun 0 3 4\n"
-
-    def test_pt_lines_accepted(self):
-        text = "window2d 0 3 0 3\npt 1 2\npt 0 0\n"
-        assert load_window2d(text) == WindowSet2D(*naive.points_in_box(
-            0, 3, 0, 3, [(0, 0), (1, 2)]
-        ))
-
-    @given(sets_2d)
-    def test_round_trip(self, m):
-        assert load_window2d(dump_window2d(m)) == m
-
-    @pytest.mark.parametrize(
-        "header,member",
-        [
-            ("window2d 10000000000000000000 10000000000000000003 0 3",
-             "pt 10000000000000000001 1"),
-            ("window2d 0 3 -9223372036854775809 -9223372036854775806",
-             "rowrun -9223372036854775808 0 2"),
-            ("window2d 9223372036854775805 9223372036854775808 0 1",
-             "pt 9223372036854775806 0"),
-        ],
-    )
-    def test_bounds_outside_int64_rejected(self, header, member):
-        with pytest.raises(SetFormatError) as err:
-            load_window2d(f"# lead\n{header}\n{member}\n")
-        assert str(err.value) == "line 2: box leaves the int64 range"
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "window2d 0 3 3 3\n",
-            "window2d 0 3 0 3\npt 3 0\n",
-            "window2d 0 3 0 3\nrowrun 0 1 1\n",
-            "window2d 0 3 0 3\nrowrun 5 0 2\n",
-            "window2d 0 3 0 3\nrun 0 2\n",
-        ],
-    )
-    def test_malformed_rejected(self, text):
-        with pytest.raises(SetFormatError):
-            load_window2d(text)
 
 
 class TestResultFormats:

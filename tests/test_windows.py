@@ -13,7 +13,6 @@ from syndetic.windows import (
     WindowSet1D,
     WindowSet2D,
     contains_interval,
-    contains_square,
     is_ps_at_scale,
     max_run_length,
     progressions_in,
@@ -67,7 +66,11 @@ class TestWindowSet1D:
             s.contains(5)
 
     def test_mask_is_immutable(self):
-        s = WindowSet1D.full(0, 4)
+        # the set copies the caller's array, and its own mask is read-only
+        given = np.ones(4, dtype=bool)
+        s = WindowSet1D(0, 4, given)
+        given[0] = False
+        assert s.count == 4
         with pytest.raises(ValueError):
             s.mask[0] = False
 
@@ -107,14 +110,12 @@ def windows_and_probes(draw):
     return s, probes
 
 
-class TestMembersAt:
+class TestContains:
     @example((WindowSet1D.from_members(0, 5, [0, 4]), [-3, 0, 4, 5]))
     @given(windows_and_probes())
     def test_matches_set_oracle(self, case):
         s, probes = case
         members = set(s.members().tolist())
-        got = s.members_at(np.array(probes, dtype=np.int64))
-        assert got.tolist() == [p in members for p in probes]
         # the scalar query agrees inside the window and raises outside it
         for p in probes:
             if s.lo <= p < s.hi:
@@ -122,14 +123,6 @@ class TestMembersAt:
             else:
                 with pytest.raises(WindowError):
                     s.contains(p)
-
-    def test_shape_is_kept(self):
-        s = WindowSet1D.from_members(-2, 3, [-2, 0])
-        assert s.members_at(np.array([[-2, -1], [0, 9]])).tolist() == [
-            [True, False],
-            [True, False],
-        ]
-        assert s.members_at(np.int64(0)) and not s.members_at(np.int64(-3))
 
 
 @st.composite
@@ -152,9 +145,9 @@ def probe_boxes(draw):
 
 class TestProgressionsIn:
     @example((WindowSet1D.from_members(0, 10, [2, 4, 6, 8]), (1, 4, -3, 4), range(4), 1))
-    @example((WindowSet1D.full(INT64_MIN, INT64_MIN + 3), (INT64_MIN, INT64_MIN + 5, -2, 3),
+    @example((WindowSet1D(INT64_MIN, INT64_MIN + 3, [True] * 3), (INT64_MIN, INT64_MIN + 5, -2, 3),
               range(-1, 9), 2))
-    @example((WindowSet1D.full(INT64_MAX - 3, INT64_MAX), (INT64_MAX - 6, INT64_MAX, -2, 3),
+    @example((WindowSet1D(INT64_MAX - 3, INT64_MAX, [True] * 3), (INT64_MAX - 6, INT64_MAX, -2, 3),
               range(3, -7, -1), -1))
     @given(probe_boxes())
     def test_matches_naive(self, case):
@@ -186,13 +179,13 @@ class TestProgressionsIn:
 
     def test_terms_capped_at_width(self):
         # 10**15 terms: a nonzero step leaves the window, a zero step repeats
-        s = WindowSet1D.full(0, 50)
+        s = WindowSet1D.from_members(0, 50, range(50))
         got = progressions_in(s, (0, 50, -1, 2), range(10**15))
         assert got[:, 1].all() and not got[:, [0, 2]].any()
 
     def test_empty_coefs_rejected(self):
         with pytest.raises(ValueError):
-            progressions_in(WindowSet1D.full(0, 3), (0, 1, 0, 1), range(0))
+            progressions_in(WindowSet1D.from_members(0, 3, range(3)), (0, 1, 0, 1), range(0))
 
     @pytest.mark.parametrize("coefs, shift", [
         (range(9), 0), (range(-3, 6), 4), (range(5, 8), -7), (range(7, -2, -1), 10**15),
@@ -200,7 +193,7 @@ class TestProgressionsIn:
     def test_padding_bounded_by_width(self, coefs, shift):
         # only rows and starts whose terms can land are probed, so a box
         # 10**18 wide costs a few copies of the window, not of the box
-        s = WindowSet1D.full(-5_000, 5_000)
+        s = WindowSet1D.from_members(-5_000, 5_000, range(-5_000, 5_000))
         box = (-(10**18), 10**18, -3, 4)
         tracemalloc.start()
         try:
@@ -216,7 +209,7 @@ class TestProgressionsIn:
 
 class TestContainsInterval:
     def test_full_window(self):
-        s = WindowSet1D.full(0, 5)
+        s = WindowSet1D.from_members(0, 5, range(5))
         assert contains_interval(s, 5) == 0
 
     def test_no_two_consecutive(self):
@@ -228,7 +221,7 @@ class TestContainsInterval:
         assert contains_interval(s, 3) == 3
 
     def test_longer_than_window_is_absent(self):
-        s = WindowSet1D.full(0, 5)
+        s = WindowSet1D.from_members(0, 5, range(5))
         assert contains_interval(s, 6) is None
 
     @given(sets_1d, st.integers(1, 12))
@@ -273,7 +266,7 @@ class TestShiftedUnion1D:
         assert u.members().tolist() == [3, 4]
 
     def test_empty(self):
-        u = shifted_union_1d(WindowSet1D.empty(0, 10), 3)
+        u = shifted_union_1d(WindowSet1D.from_members(0, 10, []), 3)
         assert u.is_empty()
 
     def test_multiples_of_three_cover_window(self):
@@ -293,7 +286,7 @@ class TestShiftedUnion1D:
 
 class TestPsScale1D:
     def test_empty_is_zero(self):
-        assert ps_scale_1d(WindowSet1D.empty(0, 10), 1) == 0
+        assert ps_scale_1d(WindowSet1D.from_members(0, 10, []), 1) == 0
 
     def test_middle_run(self):
         s = WindowSet1D.from_members(0, 12, [3, 4, 5, 9])
@@ -308,7 +301,7 @@ class TestPsScale1D:
         # rebuild b on a's window so the union is defined
         inside = [m for m in b.members().tolist() if a.lo <= m < a.hi]
         b2 = WindowSet1D.from_members(a.lo, a.hi, inside)
-        u = a.union(b2)
+        u = WindowSet1D(a.lo, a.hi, a.mask | b2.mask)
         assert ps_scale_1d(u, radius) >= max(
             ps_scale_1d(a, radius), ps_scale_1d(b2, radius)
         )
@@ -332,7 +325,7 @@ class TestIsPsAtScale:
         assert is_ps_at_scale(s, Scale(1, 2)) is None
 
     def test_full_window_is_thick(self):
-        s = WindowSet1D.full(0, 20)
+        s = WindowSet1D.from_members(0, 20, range(20))
         assert is_ps_at_scale(s, Scale(1, 19)) is not None
 
     def test_witness_start_lies_in_union(self):
@@ -366,6 +359,14 @@ class TestWindowSet2D:
         with pytest.raises(WindowError):
             m.contains(3, 0)
 
+    def test_mask_is_immutable(self):
+        given = np.ones((3, 2), dtype=bool)
+        m = WindowSet2D(0, 3, 0, 2, given)
+        given[0, 0] = False
+        assert m.count == 6
+        with pytest.raises(ValueError):
+            m.mask[0, 0] = False
+
     def test_points_sorted_lexicographically(self):
         m = WindowSet2D(*naive.points_in_box(0, 4, 0, 4, [(2, 1), (0, 3), (2, 0)]))
         assert [tuple(p) for p in m.points().tolist()] == [(0, 3), (2, 0), (2, 1)]
@@ -397,35 +398,6 @@ class TestShiftedUnion2D:
         assert set(map(tuple, u.points().tolist())) == want
 
 
-class TestContainsSquare:
-    def test_full_box(self):
-        m = WindowSet2D.full(2, 5, -1, 2)
-        assert contains_square(m, 3) == (2, -1)
-
-    def test_hole_in_every_block(self):
-        # (x + y) even leaves a hole in every 2x2 block
-        pts = [(x, y) for x in range(6) for y in range(6) if (x + y) % 2 == 0]
-        m = WindowSet2D(*naive.points_in_box(0, 6, 0, 6, pts))
-        assert contains_square(m, 2) is None
-
-    def test_result_verified_by_membership(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            mask = rng.random((9, 9)) < 0.75
-            m = WindowSet2D(0, 9, 0, 9, mask)
-            pts = set(map(tuple, m.points().tolist()))
-            for side in range(1, 5):
-                corner = contains_square(m, side)
-                assert corner == naive.contains_square(pts, m.box, side)
-                if corner is not None:
-                    x, y = corner
-                    assert all(
-                        m.contains(x + i, y + j)
-                        for i in range(side)
-                        for j in range(side)
-                    )
-
-
 class TestPsScale2D:
     def test_empty_is_zero(self):
         assert ps_scale_2d(WindowSet2D.empty(0, 4, 0, 4), 2) == 0
@@ -433,7 +405,7 @@ class TestPsScale2D:
     def test_full_box_side_ten(self):
         # shifted union at radius 1 is the full box translated by (-1, -1),
         # still ten integers per side
-        assert ps_scale_2d(WindowSet2D.full(0, 10, 0, 10), 1) == 10
+        assert ps_scale_2d(WindowSet2D(0, 10, 0, 10, np.ones((10, 10), bool)), 1) == 10
 
     def test_superset_monotone(self):
         rng = np.random.default_rng(5)
@@ -488,8 +460,6 @@ class TestSquareErosion:
     def test_near_full_matches_naive(self, m, radius):
         pts = set(map(tuple, m.points().tolist()))
         assert ps_scale_2d(m, radius) == naive.ps_scale_2d(pts, m.box, radius)
-        for side in range(1, max(m.mask.shape) + 2):
-            assert contains_square(m, side) == naive.contains_square(pts, m.box, side)
 
     @pytest.mark.parametrize("background", ["checkerboard", "sparse"])
     def test_planted_square(self, background):
@@ -505,7 +475,3 @@ class TestSquareErosion:
             m = WindowSet2D(-5, wx - 5, 7, wy + 7, mask)
             # the shifted union at radius 1 is the set moved by (-1, -1)
             assert ps_scale_2d(m, 1) == side
-            if side > 1:
-                assert contains_square(m, side) == (cx - 5, cy + 7)
-            assert contains_square(m, side + 1) is None
-            assert contains_square(m, max(wx, wy) + 1) is None
