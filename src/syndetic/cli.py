@@ -15,18 +15,12 @@ import argparse
 import sys
 import traceback
 
-from .certificate import (
-    CertificateError,
-    DigestMismatchError,
-    parse,
-    serialize,
-    verify_fg,
-)
+from .certificate import DigestMismatchError, parse, serialize, verify_fg
 from .generators import KINDS, gen_example
 from .pipeline import ConstructionError, fg_construct
-from .textio import SetFormatError, dump_vdw_result, dump_window1d, load_window1d
+from .textio import dump_vdw_result, dump_window1d, load_window1d
 from .vdw import DEFAULT_BUDGET, BudgetExhaustedError, vdw_number
-from .windows import Scale, WindowError, is_ps_at_scale
+from .windows import Scale, is_ps_at_scale
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -213,19 +207,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (SetFormatError, CertificateError, WindowError, ValueError) as exc:
-        if isinstance(exc, DigestMismatchError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConstructionError as exc:
+    except (DigestMismatchError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:
+    except (ValueError, MemoryError, OSError) as exc:
+        # every allocation here is sized by an argument or an input
+        # document, so a request too large to allocate is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -252,18 +252,12 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
     """Image of the set under the map, on the bounding box of the images.
 
     The map is injective for nonzero scale, so the image count equals the
-    preimage count.
+    preimage count.  An empty set has no bounding box and is refused.
     """
     mask = m.mask
     cols = np.flatnonzero(mask.any(axis=0))
     if cols.size == 0:
-        corners_x = np.array([m.x_lo, m.x_lo, m.x_hi - 1, m.x_hi - 1], dtype=np.int64)
-        corners_y = np.array([m.y_lo, m.y_hi - 1, m.y_lo, m.y_hi - 1], dtype=np.int64)
-        u = corners_x + amap.shear * corners_y + amap.shift
-        v = amap.scale * corners_y
-        return WindowSet2D.empty(
-            int(u.min()), int(u.max()) + 1, int(v.min()), int(v.max()) + 1
-        )
+        raise ValueError("cannot map an empty set: its image has no bounding box")
     # each column y moves as a whole: x by shear*y + shift, to row scale*y
     ys = (m.y_lo + cols).tolist()
     firsts = mask[:, cols].argmax(axis=0).tolist()
@@ -279,12 +273,12 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
     return WindowSet2D(u_lo, u_hi, v_lo, v_hi, out)
 
 
-def _auto_box(
-    run_start: int, run_len: int, span: int, box_area: int, step_cap: int
-) -> tuple[int, int, int, int]:
-    half = max(1, min(step_cap, (run_len - 1) // (2 * max(span, 1))))
+def _auto_box(run_start: int, run_len: int, span: int) -> tuple[int, int, int, int]:
+    """Box over the run starting at run_start: at most 200,000 cells, with
+    step rows within +-16."""
+    half = max(1, min(16, (run_len - 1) // (2 * max(span, 1))))
     rows = 2 * half + 1
-    width = max(1, min(run_len, box_area // rows))
+    width = max(1, min(run_len, 200_000 // rows))
     return (run_start, run_start + width, -half, half + 1)
 
 
@@ -296,16 +290,15 @@ def fg_construct(
     budget: int = DEFAULT_BUDGET,
     *,
     min_length: int = 1,
-    box: tuple[int, int, int, int] | None = None,
-    box_area: int = 200_000,
-    step_cap: int = 16,
 ) -> FgCertificate:
     """Run the whole construction and return its certificate.
 
     radius_2d defaults to the computed span, which bounds how far the
-    affine map distorts shifts.  The box defaults to a window over the
-    longest run of the shifted union, capped at box_area cells with step
-    rows limited to +-step_cap.
+    affine map distorts shifts.  The certified box is always a window over
+    the leftmost longest run of the shifted union, capped at 200,000 cells
+    with step rows within +-16.  To certify another box, run the public
+    stages on it (progression_pairs, color_classes, pigeonhole_extract,
+    affine_image).
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -328,9 +321,7 @@ def fg_construct(
         radius_2d = span
     if radius_2d < 1:
         raise ValueError(f"radius_2d must be >= 1, got {radius_2d}")
-    if box is None:
-        run_start = contains_interval(u, length_in)
-        box = _auto_box(run_start, length_in, span, box_area, step_cap)
+    box = _auto_box(contains_interval(u, length_in), length_in, span)
     ps = progression_pairs(s, radius, span, box)
     if ps.pairs.count == 0:
         raise ConstructionError(f"no progression pairs inside box {box}")
@@ -365,24 +356,23 @@ def fg_construct(
     )
 
 
-def find_nontrivial_ap(
-    s: WindowSet1D, radius: int, steps: int, budget: int = DEFAULT_BUDGET
-) -> APPair:
+def find_nontrivial_ap(s: WindowSet1D, radius: int, steps: int) -> APPair:
     """A verified progression start, start+d, ..., start+steps*d in s with
     d != 0.
 
     Requires the shifted union at this radius to contain a run at least as
-    long as W(radius, steps+1); the error names the required length.
+    long as W(radius, steps+1), which is searched for under DEFAULT_BUDGET
+    nodes; the error names the required length.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    res = vdw_number(radius, steps + 1, budget)
+    res = vdw_number(radius, steps + 1, DEFAULT_BUDGET)
     if not res.exhaustive:
         raise BudgetExhaustedError(
             f"van der Waerden search for {radius} colors and {steps + 1} terms "
-            f"exhausted its budget of {budget} nodes"
+            f"exhausted its budget of {DEFAULT_BUDGET} nodes"
         )
     need = res.n
     u = shifted_union_1d(s, radius)
@@ -410,14 +400,11 @@ def find_nontrivial_ap(
 
 
 def partition_extract(
-    s: WindowSet1D,
-    cells: list[WindowSet1D],
-    radius: int,
-    gap_budget: int = 4,
+    s: WindowSet1D, cells: list[WindowSet1D], radius: int
 ) -> PartitionWitness:
     """Cell achieving the best scale over a sweep of shift radii.
 
-    The sweep covers radii 1..radius*gap_budget.  Scales are monotone in
+    The sweep covers radii 1..4*radius.  Scales are monotone in
     the radius, so each cell's best run length shows up at the top radius;
     the witness reports the least radius that already achieves it.  Ties
     between cells go to the least index.  The returned witness is
@@ -427,8 +414,6 @@ def partition_extract(
         raise PartitionError("no cells given")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    if gap_budget < 1:
-        raise ValueError(f"gap_budget must be >= 1, got {gap_budget}")
     covered = np.zeros(s.width, dtype=bool)
     for cell in cells:
         if (cell.lo, cell.hi) != (s.lo, s.hi):
@@ -441,7 +426,7 @@ def partition_extract(
         covered |= cell.mask
     if not np.array_equal(covered, s.mask):
         raise PartitionError("cells are not a disjoint cover of the set")
-    top = radius * gap_budget
+    top = 4 * radius
     scores = tuple(ps_scale_1d(cell, top) for cell in cells)
     best = max(range(len(cells)), key=lambda i: (scores[i], -i))
     if scores[best] == 0:

@@ -6,12 +6,13 @@ notions that are asymptotic on infinite sets -- thickness, piecewise
 syndeticity -- become scale-indexed predicates here: each check fixes a
 shift radius and a run length and returns an explicit witness on success.
 
-Boundary policy: a scalar query (``contains``) outside the window raises
-:class:`WindowError`.  The one vectorized probe, ``progressions_in`` over a
-box of starts and steps, counts a term outside the window as absent: rows
-and starts with a term that must leave the window are absent without being
-probed.  The pipeline's scans and the verifier's recounts near a boundary
-are then conservative, never optimistic.
+Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
+window raises :class:`WindowError`.  The one vectorized probe,
+``progressions_in`` over a box of starts and steps, counts a term outside
+the window as absent: rows and starts with a term that must leave the
+window are absent without being probed.  The pipeline's scans and the
+verifier's recounts near a boundary are then conservative, never
+optimistic.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -182,10 +183,6 @@ class WindowSet2D:
         self.y_hi = y_hi
         self._mask = arr
 
-    @classmethod
-    def empty(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> "WindowSet2D":
-        return cls(x_lo, x_hi, y_lo, y_hi, np.zeros((x_hi - x_lo, y_hi - y_lo), bool))
-
     @property
     def mask(self) -> np.ndarray:
         return self._mask
@@ -207,17 +204,6 @@ class WindowSet2D:
         idx[:, 0] += self.x_lo
         idx[:, 1] += self.y_lo
         return idx
-
-    def covers(self, x: int, y: int) -> bool:
-        return self.x_lo <= x < self.x_hi and self.y_lo <= y < self.y_hi
-
-    def contains(self, x: int, y: int) -> bool:
-        if not self.covers(x, y):
-            raise WindowError(
-                f"query ({x}, {y}) outside box "
-                f"[{self.x_lo}, {self.x_hi}) x [{self.y_lo}, {self.y_hi})"
-            )
-        return bool(self._mask[x - self.x_lo, y - self.y_lo])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowSet2D):

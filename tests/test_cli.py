@@ -129,6 +129,16 @@ class TestConstructAndVerify:
             "error: line 1: window [0, 1000000000000000000) is too wide to allocate\n"
         )
 
+    @pytest.mark.parametrize("command", ["construct", "check1d"])
+    def test_radius_too_large_to_allocate_is_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        code, out, err = run(capsys, command, setp, str(10**18), "2")
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and "allocate" in err
+
     def test_tiny_budget_exits_two(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         for budget in ("3", "10"):
@@ -247,6 +257,18 @@ class TestConstructAndVerify:
         assert code == 1
         assert out.splitlines()[1].startswith(verdict)
 
+    def test_verify_radius_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        lines[lines.index("r 2")] = f"r {10**18}"
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(certp), setp)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and "allocate" in err
+
     def test_verify_refuses_foreign_set(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         otherp = write_set(tmp_path, "o.set", striped_set((0, 200), 5, 3))
@@ -296,6 +318,19 @@ class TestGenCommand:
         )
         assert code == 64
         assert "density" in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("ps-striped", "--block", "5", "--gap", "2"),
+            ("periodic", "--period", "3", "--residues", "0"),
+        ],
+    )
+    def test_window_too_large_to_allocate_is_usage_error(self, capsys, params):
+        code, out, err = run(capsys, "gen", *params, "--window", "0", str(10**18))
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and "allocate" in err
 
     def test_unknown_kind_rejected_by_parser(self, capsys):
         code, _, _ = run(capsys, "gen", "mystery", "--window", "0", "20")

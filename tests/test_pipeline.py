@@ -1,9 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import naive
-from syndetic.certificate import serialize, verify_fg
+from syndetic.certificate import (
+    VERSION_TAG,
+    FgCertificate,
+    serialize,
+    set_digest,
+    verify_fg,
+)
 from syndetic.generators import periodic_set, random_sparse_set, striped_set
 from syndetic.pipeline import (
     AffineMap2D,
@@ -21,11 +29,12 @@ from syndetic.pipeline import (
     pigeonhole_extract,
     progression_pairs,
 )
-from syndetic.vdw import BudgetExhaustedError
+from syndetic.vdw import BudgetExhaustedError, vdw_span
 from syndetic.windows import (
     WindowSet1D,
     WindowSet2D,
     is_ps_at_scale,
+    max_run_length,
     ps_scale_1d,
     ps_scale_2d,
     shifted_union_1d,
@@ -136,7 +145,11 @@ class TestColorClasses:
     def test_empty_pairs_give_empty_map(self):
         s = WindowSet1D.from_members(0, 20, range(20))
         assert color_classes(
-            s, WindowSet2D.empty(0, 5, -1, 2), radius=1, span=2, steps=2
+            s,
+            WindowSet2D(0, 5, -1, 2, np.zeros((5, 3), bool)),
+            radius=1,
+            span=2,
+            steps=2,
         ) == {}
 
     def test_classes_partition_the_pairs(self):
@@ -169,7 +182,7 @@ class TestPigeonholeExtract:
         full = WindowSet2D(0, 3, 0, 3, np.ones((3, 3), bool))
         got = pigeonhole_extract(
             {
-                ColorTriple(0, 1, 1): WindowSet2D.empty(0, 3, 0, 3),
+                ColorTriple(0, 1, 1): WindowSet2D(0, 3, 0, 3, np.zeros((3, 3), bool)),
                 ColorTriple(1, 1, 1): full,
             },
             1,
@@ -248,10 +261,10 @@ class TestAffineImage:
             AffineMap2D(1, 1, 0)
 
     def test_empty_set_keeps_transformed_hull(self):
-        m = WindowSet2D.empty(0, 3, 0, 3)
-        got = affine_image(m, AffineMap2D(1, 0, 2))
-        assert got.is_empty()
-        assert got.box == (0, 5, 0, 5)
+        # an empty set has no hull to transform, so it is refused
+        m = WindowSet2D(0, 3, 0, 3, np.zeros((3, 3), bool))
+        with pytest.raises(ValueError, match="empty set"):
+            affine_image(m, AffineMap2D(1, 0, 2))
 
     def test_unit_scale_orderings_match_brute_force(self):
         # scale values are only ever asserted after recomputation; check the
@@ -325,10 +338,43 @@ class TestFgConstruct:
             fg_construct(s, 2, 2, budget=3)
 
     def test_explicit_box_respected(self):
+        # fg_construct certifies its own box; another box is certified by
+        # running the public stages on it
         s = striped_set((0, 300), 5, 2)
-        cert = fg_construct(s, 2, 2, box=(10, 60, -2, 3))
-        assert cert.pair_box == (10, 60, -2, 3)
+        box = (10, 60, -2, 3)
+        span = vdw_span(2, 2).span
+        pairs = progression_pairs(s, 2, span, box).pairs
+        classes = color_classes(s, pairs, radius=2, span=span, steps=2)
+        triple, chosen, _ = pigeonhole_extract(classes, span)
+        image = affine_image(
+            chosen,
+            AffineMap2D(shear=triple.offset, shift=triple.shift, scale=triple.stride),
+        )
+        cert = FgCertificate(
+            lo=s.lo,
+            hi=s.hi,
+            digest=set_digest(s),
+            radius=2,
+            steps=2,
+            radius_2d=span,
+            version=VERSION_TAG,
+            span=span,
+            span_exhaustive=True,
+            offset=triple.offset,
+            stride=triple.stride,
+            shift=triple.shift,
+            pair_box=box,
+            pair_count=pairs.count,
+            class_count=chosen.count,
+            ap_pairs=image,
+            length_in=max_run_length(shifted_union_1d(s, 2)),
+            length_out=ps_scale_2d(image, span),
+        )
         assert verify_fg(cert, s).passed
+        # the bytes fg_construct wrote for this box when it took a box option
+        assert hashlib.sha256(serialize(cert).encode()).hexdigest() == (
+            "90c0e5cb371b9ed840618fab9ea9301cb60235fbb47af228c76cef2f39b487b1"
+        )
 
 
 class TestFindNontrivialAP:
@@ -371,7 +417,7 @@ class TestPartitionExtract:
         members = s.members().tolist()
         evens = WindowSet1D.from_members(0, 200, [m for m in members if m % 2 == 0])
         odds = WindowSet1D.from_members(0, 200, [m for m in members if m % 2 == 1])
-        got = partition_extract(s, [evens, odds], 2, gap_budget=4)
+        got = partition_extract(s, [evens, odds], 2)
         cells = [evens, odds]
         brute = [
             naive.ps_scale_1d(set(c.members().tolist()), 0, 200, 8) for c in cells
@@ -387,9 +433,9 @@ class TestPartitionExtract:
             WindowSet1D.from_members(0, 240, [m for m in members if m % 3 == r])
             for r in range(3)
         ]
-        got = partition_extract(s, cells, 2, gap_budget=3)
+        got = partition_extract(s, cells, 2)
         brute = tuple(
-            naive.ps_scale_1d(set(c.members().tolist()), 0, 240, 6) for c in cells
+            naive.ps_scale_1d(set(c.members().tolist()), 0, 240, 8) for c in cells
         )
         assert got.scores == brute
 

@@ -1,9 +1,11 @@
 import ast
+import math
 from pathlib import Path
 
 import syndetic
 
 SRC = Path(syndetic.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_statements_in_the_package():
@@ -17,23 +19,24 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def _used_names(path: Path) -> set[str]:
-    """Names a file reads, as a bare name or as an attribute; a def or
-    class line and the strings of an ``__all__`` list are not reads."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+def _caller_nodes() -> list[ast.AST]:
+    """Every node of the code outside the tests that uses the library: the
+    package itself bar the re-exports of ``__init__``, the demos and the
+    benchmark."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return [node for p in paths for node in ast.walk(ast.parse(p.read_text()))]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # the library carries no code that only tests call
-    root = Path(__file__).resolve().parents[1]
-    callers = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    callers += sorted((root / "demos").glob("*.py"))
-    callers += sorted((root / "perfbench").glob("*.py"))
-    used = set().union(*map(_used_names, callers))
+    # the library carries no code that only tests call; a def or class
+    # line and the strings of an ``__all__`` list are not reads
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in _caller_nodes()
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
     exported = [
         alias.asname or alias.name
         for node in ast.parse((SRC / "__init__.py").read_text()).body
@@ -41,3 +44,52 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for alias in node.names
     ]
     assert [name for name in exported if name not in used] == []
+
+
+def _options(tree: ast.Module):
+    """(function, parameter, position) for each parameter with a default;
+    position counts the arguments a call passes, so a method's first
+    parameter is not counted, and is None for a keyword-only parameter."""
+    methods = {
+        fn
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a = fn.args
+        params = (a.posonlyargs + a.args)[1 if fn in methods else 0 :]
+        for i in range(len(params) - len(a.defaults), len(params)):
+            yield fn.name, params[i].arg, i
+        for kw, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield fn.name, kw.arg, None
+
+
+def test_every_option_is_set_by_a_caller_outside_the_tests():
+    # an option that only tests set has one value in use, so it is a
+    # constant.  pigeonhole_extract's workers= is passed by the benchmark's
+    # stage replay through its stage() helper, a call this walk cannot see
+    # through, and the benchmark may not change with the library.
+    allowed = {"pigeonhole_extract.workers"}
+    most: dict[str, float] = {}
+    keywords = set()
+    for call in _caller_nodes():
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            most[name] = max(most.get(name, 0), math.inf if starred else len(call.args))
+            # a ** argument has no name and may pass any keyword
+            keywords.update((name, kw.arg) for kw in call.keywords)
+    unset = [
+        f"{fn}.{param}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn, param, pos in _options(ast.parse(path.read_text()))
+        if not (pos is not None and most.get(fn, 0) > pos)
+        and not {(fn, param), (fn, None)} & keywords
+    ]
+    assert sorted(set(unset) - allowed) == []
