@@ -38,6 +38,10 @@ Document grammar (strict order, decimal integers, ``#`` lines ignored)::
 The input digest is sha256 over the canonical text serialization of the
 input set (header plus maximal runs), which binds the certificate to the
 set without embedding it twice.
+
+``parse`` reads the document through ``textio.Lines``, the one line reader,
+and states the ``pt`` rules once, as a check on the block's rows: inside
+the ``window2d`` box and strictly increasing.
 """
 
 from __future__ import annotations
@@ -47,14 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import (
-    allocate,
-    canonical_int,
-    dump_window1d,
-    fits_int64,
-    significant_lines,
-    writer_rows,
-)
+from .textio import Lines, allocate, dump_window1d, fits_int64
 from .vdw import vdw_number
 from .windows import (
     Scale,
@@ -172,124 +169,10 @@ def serialize(cert: FgCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PT_BLOCK = object()
-
-
-class _Reader:
-    """The significant lines of a certificate, in order.  A ``pt`` block in
-    writer form stands in ``lines`` as one placeholder holding its rows
-    (``pt_rows``); any other read expands it into its lines first."""
-
-    def __init__(self, text: str):
-        self.pos = 0
-        # a writer-form block: from the first line starting "pt " up to the
-        # first "claims" line after it, every line in writer form
-        start = text.find("\npt ") + 1
-        end = text.find("\nclaims\n", start) + 1 if start else 0
-        self.block = text[start:end]
-        self.pts = writer_rows(self.block, "pt", 2) if end else None
-        if self.pts is None:
-            self.lines = list(significant_lines(text))
-            return
-        head = text[:start]
-        first = len(head.splitlines()) + 1
-        after = first + self.pts.shape[0] - 1
-        self.lines = [
-            *significant_lines(head),
-            (first, _PT_BLOCK),
-            *((n + after, line) for n, line in significant_lines(text[end:])),
-        ]
-
-    def peek(self) -> tuple[int, str] | None:
-        if self.pos >= len(self.lines):
-            return None
-        first, item = self.lines[self.pos]
-        if item is _PT_BLOCK:
-            self.lines[self.pos : self.pos + 1] = [
-                (n + first - 1, line) for n, line in significant_lines(self.block)
-            ]
-        return self.lines[self.pos]
-
-    def pt_rows(self) -> np.ndarray | None:
-        """The rows of the writer-form pt block if it is next, else None."""
-        if self.pos < len(self.lines) and self.lines[self.pos][1] is _PT_BLOCK:
-            return self.pts
-        return None
-
-    def next(self, what: str) -> tuple[int, str]:
-        item = self.peek()
-        if item is None:
-            last = self.lines[-1][0] if self.lines else 0
-            raise CertificateParseError(last, f"unexpected end of document, wanted {what}")
-        self.pos += 1
-        return item
-
-    def literal(self, expected: str) -> None:
-        lineno, line = self.next(expected)
-        if line != expected:
-            raise CertificateParseError(lineno, f"expected {expected!r}, got {line!r}")
-
-    def keyed(self, key: str, nfields: int) -> list[str]:
-        lineno, line = self.next(f"{key} line")
-        tok = line.split()
-        if tok[0] != key:
-            raise CertificateParseError(lineno, f"expected key {key!r}, got {tok[0]!r}")
-        if len(tok) - 1 != nfields:
-            raise CertificateParseError(
-                lineno, f"{key} expects {nfields} fields, got {len(tok) - 1}"
-            )
-        self.lastline = lineno
-        return tok[1:]
-
-    def keyed_ints(self, key: str, nfields: int) -> list[int]:
-        fields = self.keyed(key, nfields)
-        out = []
-        for f in fields:
-            try:
-                out.append(canonical_int(f))
-            except ValueError:
-                raise CertificateParseError(
-                    self.lastline, f"malformed integer {f!r} in {key}"
-                ) from None
-        return out
-
-
-def _rows_fit(rows: np.ndarray, bx: list[int]) -> bool:
-    """Every row lies in the box and the rows strictly increase as (x, y)."""
-    x, y = rows[:, 0], rows[:, 1]
-    dx, dy = np.diff(x), np.diff(y)
-    return bool(
-        ((x >= bx[0]) & (x < bx[1]) & (y >= bx[2]) & (y < bx[3])).all()
-        and ((dx > 0) | ((dx == 0) & (dy > 0))).all()
-    )
-
-
-def _read_pts(r: _Reader, bx: list[int]) -> list[tuple[int, int]]:
-    pts: list[tuple[int, int]] = []
-    while True:
-        item = r.peek()
-        if item is None:
-            raise CertificateParseError(
-                r.lines[-1][0], "unexpected end of document inside mtilde"
-            )
-        if item[1] == "claims":
-            return pts
-        x, y = r.keyed_ints("pt", 2)
-        if not (bx[0] <= x < bx[1] and bx[2] <= y < bx[3]):
-            raise CertificateParseError(r.lastline, f"pt ({x}, {y}) leaves the box")
-        if pts and (x, y) <= pts[-1]:
-            raise CertificateParseError(
-                r.lastline, "pt lines must be strictly increasing"
-            )
-        pts.append((x, y))
-
-
 def parse(text: str) -> FgCertificate:
     """Exact inverse of serialize; rejects unknown keys, missing fields,
     reordered fields, and malformed integers, naming the line."""
-    r = _Reader(text)
-    if r.peek() is None:
-        raise CertificateParseError(0, "empty document")
+    r = Lines(text, CertificateParseError, "pt", 2, "claims")
     r.literal(HEADER)
     r.literal("input")
     lo, hi = r.keyed_ints("window1d", 2)
@@ -332,18 +215,25 @@ def parse(text: str) -> FgCertificate:
         raise too_wide
     if not fits_int64(*bx):
         raise CertificateParseError(r.lastline, "mtilde box leaves the int64 range")
-    rows = r.pt_rows()
-    if rows is not None and _rows_fit(rows, bx):
-        r.pos += 1
-    else:
-        pts = _read_pts(r, bx)
-        if rows is not None:
-            raise RuntimeError("bulk pt check rejected a block the line loop accepts")
-        rows = np.array(pts, dtype=np.int64).reshape(-1, 2)
+
+    def check(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        inside = (x >= bx[0]) & (x < bx[1]) & (y >= bx[2]) & (y < bx[3])
+        rising = np.ones(len(pts), dtype=bool)
+        dx, dy = np.diff(x), np.diff(y)
+        rising[1:] = (dx > 0) | ((dx == 0) & (dy > 0))
+        bad = np.flatnonzero(~(inside & rising))
+        if bad.size == 0:
+            return None
+        i = bad[0]
+        if not inside[i]:
+            return i, "pt ({}, {}) leaves the box".format(*pts[i].tolist())
+        return i, "pt lines must be strictly increasing"
+
+    rows = r.rows(check)
     mask = allocate((bx[1] - bx[0], bx[3] - bx[2]), bool, too_wide)
     mask[rows[:, 0] - bx[0], rows[:, 1] - bx[2]] = True
     ap_pairs = WindowSet2D(*bx, mask)
-    r.literal("claims")
     pair_box = tuple(r.keyed_ints("pair_box", 4))
     if pair_box[0] >= pair_box[1] or pair_box[2] >= pair_box[3]:
         raise CertificateParseError(r.lastline, "pair_box is empty")
@@ -409,6 +299,20 @@ def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) ->
     return sum(int(progressions_in(u, c, range(span + 1)).sum()) for c in chunks)
 
 
+def _vdw_beyond(colors: int, steps: int, budget: int) -> bool:
+    """Whether an exhaustive search for W(colors, steps + 1) surely needs
+    more than ``budget`` nodes, told without running it.  Every coloring of
+    ``steps`` positions is progression-free, so the search spends at least
+    steps + 1 nodes with one color and 2**steps - 1 with more; a step count
+    past the budget's bit length exceeds the latter, and 2**steps is never
+    built.  A budget below 1 is left to ``vdw_number`` to refuse."""
+    if budget < 1:
+        return False
+    if colors == 1:
+        return steps + 1 > budget
+    return steps > budget.bit_length()
+
+
 def verify_fg(
     cert: FgCertificate, s: WindowSet1D, *, vdw_budget: int = 5_000_000
 ) -> Verdict:
@@ -421,7 +325,8 @@ def verify_fg(
     2. ap_membership -- every pair (a, d) satisfies a + i*d in S, i <= k
     3. output_scale  -- the pair set achieves scale_out at radius r2d
     4. vdw_witness   -- span matches a local recomputation (advisory when
-                        either side is non-exhaustive)
+                        either side is non-exhaustive; not run when it
+                        surely needs more than vdw_budget nodes)
     5. triple_range  -- the triple lies in its declared ranges
     6. pair_preimage -- every pair pulls back through the affine map to a
                         progression pair over the declared box
@@ -464,8 +369,10 @@ def verify_fg(
         )
 
     if cert.span_exhaustive:
-        res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
-        if res.exhaustive:
+        res = None
+        if not _vdw_beyond(cert.radius, cert.steps, vdw_budget):
+            res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
+        if res is not None and res.exhaustive:
             if res.n - 1 != cert.span:
                 return _fail(
                     "vdw_witness",

@@ -1,11 +1,13 @@
-"""Plain-text serialization of 1D window sets, colorings, and search results.
+"""Plain-text serialization of 1D window sets, colorings, and search
+results, and ``Lines``, the one reader of line documents: set documents
+here and certificates in ``certificate``.
 
 All formats are line based with space-separated fields.  Lines starting
 with ``#`` and blank lines are ignored on input.  Writers emit a canonical
 form (maximal runs, sorted rows) so that equal values serialize to equal
-bytes.  A block of lines exactly in that form is read in one pass
-(``writer_rows``); anything else goes line by line, with the same results
-and the same errors.
+bytes.  A document's block of integer rows is read in one pass when it is
+exactly in that form (``writer_rows``) and line by line otherwise; one
+row check per document serves both paths and names the first bad line.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from .windows import WindowSet1D, run_edges
 __all__ = [
     "SetFormatError",
     "canonical_int",
-    "significant_lines",
     "writer_rows",
     "fits_int64",
     "allocate",
+    "Lines",
     "dump_window1d",
     "load_window1d",
     "dump_coloring",
@@ -95,16 +97,120 @@ def allocate(shape, dtype, error: ValueError) -> np.ndarray:
         raise error from None
 
 
-def _ints(lineno: int, fields: list[str], expect: int, what: str) -> list[int]:
-    if len(fields) != expect:
-        raise SetFormatError(lineno, f"{what} expects {expect} fields, got {len(fields)}")
-    out = []
-    for f in fields:
-        try:
-            out.append(canonical_int(f))
-        except ValueError:
-            raise SetFormatError(lineno, f"malformed integer {f!r}") from None
-    return out
+_BLOCK = object()
+
+
+class Lines:
+    """The significant lines of a document, read in order by a reader that
+    knows the document's grammar.  Every error is ``error(lineno, message)``,
+    the document's own format error.
+
+    A document has one block of ``<key> <int> ... <int>`` lines, ``width``
+    integers each: from the first line that starts with ``key`` up to the
+    first ``stop`` line after it, or to the end when ``stop`` is None.  When
+    that block is in writer form it stands in the lines as one placeholder,
+    which ``rows`` reads in one pass; any other read expands it into its
+    lines first, so errors name the same line either way.
+    """
+
+    def __init__(
+        self, text: str, error: type[ValueError], key: str, width: int, stop: str | None
+    ):
+        self.error, self.key, self.width, self.stop = error, key, width, stop
+        self.pos = 0
+        start = text.find(f"\n{key} ") + 1
+        end = len(text) if stop is None else text.find(f"\n{stop}\n", start) + 1
+        self.block = text[start:end]
+        self.bulk = writer_rows(self.block, key, width) if start and end else None
+        if self.bulk is None:
+            self.lines = list(significant_lines(text))
+        else:
+            head = text[:start]
+            first = len(head.splitlines()) + 1
+            after = first + self.bulk.shape[0] - 1
+            self.lines = [
+                *significant_lines(head),
+                (first, _BLOCK),
+                *((n + after, line) for n, line in significant_lines(text[end:])),
+            ]
+        if not self.lines:
+            raise error(0, "empty document")
+
+    def peek(self) -> tuple[int, str] | None:
+        if self.pos >= len(self.lines):
+            return None
+        first, item = self.lines[self.pos]
+        if item is _BLOCK:
+            self.lines[self.pos : self.pos + 1] = [
+                (n + first - 1, line) for n, line in significant_lines(self.block)
+            ]
+        return self.lines[self.pos]
+
+    def next(self, what: str) -> tuple[int, str]:
+        item = self.peek()
+        if item is None:
+            last = self.lines[-1][0]
+            raise self.error(last, f"unexpected end of document, wanted {what}")
+        self.pos += 1
+        return item
+
+    def literal(self, expected: str) -> None:
+        lineno, line = self.next(expected)
+        if line != expected:
+            raise self.error(lineno, f"expected {expected!r}, got {line!r}")
+
+    def keyed(self, key: str, nfields: int) -> list[str]:
+        lineno, line = self.next(f"{key} line")
+        tok = line.split()
+        if tok[0] != key:
+            raise self.error(lineno, f"expected key {key!r}, got {tok[0]!r}")
+        if len(tok) - 1 != nfields:
+            message = f"{key} expects {nfields} fields, got {len(tok) - 1}"
+            raise self.error(lineno, message)
+        self.lastline = lineno
+        return tok[1:]
+
+    def keyed_ints(self, key: str, nfields: int) -> list[int]:
+        out = []
+        for f in self.keyed(key, nfields):
+            try:
+                out.append(canonical_int(f))
+            except ValueError:
+                message = f"malformed integer {f!r} in {key}"
+                raise self.error(self.lastline, message) from None
+        return out
+
+    def rows(self, check) -> np.ndarray:
+        """The block as an (n, width) int64 array: the placeholder's rows if
+        it is next, else the ``key`` lines up to the ``stop`` line, which is
+        read too.  ``check(rows)`` gives the index and message of the first
+        row that breaks the document's rules, or None.  The line loop checks
+        the rows before a malformed line first, so the error names the first
+        bad line on both paths."""
+        fault = None
+        if self.pos < len(self.lines) and self.lines[self.pos][1] is _BLOCK:
+            first = self.lines[self.pos][0]
+            self.pos += 1
+            rows = self.bulk
+            linenos = range(first, first + len(rows))
+        else:
+            read, linenos = [], []
+            try:
+                while (item := self.peek()) is not None and item[1] != self.stop:
+                    read.append(self.keyed_ints(self.key, self.width))
+                    linenos.append(self.lastline)
+            except self.error as exc:
+                fault = exc
+            # Python ints: a field may leave int64 until the check has passed
+            rows = np.array(read, dtype=object).reshape(-1, self.width)
+        bad = check(rows)
+        if bad is not None:
+            raise self.error(linenos[bad[0]], bad[1])
+        if fault is not None:
+            raise fault
+        if self.stop is not None:
+            self.literal(self.stop)
+        return rows.astype(np.int64, copy=False)
 
 
 def dump_window1d(s: WindowSet1D) -> str:
@@ -116,54 +222,33 @@ def dump_window1d(s: WindowSet1D) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _window1d_header(lineno: int, header: str) -> tuple[int, int, np.ndarray]:
-    """The window's bounds and a zeroed cover count: per cell, the number of
-    runs that start there less the number that end there, so that runs may
-    overlap or come in any order."""
-    tok = header.split()
-    if tok[0] != "window1d":
-        raise SetFormatError(lineno, f"expected window1d header, got {tok[0]!r}")
-    lo, hi = _ints(lineno, tok[1:], 2, "window1d")
-    if lo >= hi:
-        raise SetFormatError(lineno, f"window [{lo}, {hi}) is empty")
-    if not fits_int64(lo, hi):
-        raise SetFormatError(lineno, f"window [{lo}, {hi}) leaves the int64 range")
-    too_wide = SetFormatError(lineno, f"window [{lo}, {hi}) is too wide to allocate")
-    return lo, hi, allocate(hi - lo + 1, np.int32, too_wide)
-
-
 def load_window1d(text: str) -> WindowSet1D:
-    # writer form: the header alone, then writer-form run lines to the end
-    start = text.find("\nrun ") + 1
-    runs = writer_rows(text[start:], "run", 2) if start else None
-    head = list(significant_lines(text[:start])) if runs is not None else []
-    if len(head) == 1:
-        lo, hi, cover = _window1d_header(*head[0])
+    lines = Lines(text, SetFormatError, "run", 2, None)
+    lo, hi = lines.keyed_ints("window1d", 2)
+    window = f"window [{lo}, {hi})"
+    if lo >= hi:
+        raise SetFormatError(lines.lastline, f"{window} is empty")
+    if not fits_int64(lo, hi):
+        raise SetFormatError(lines.lastline, f"{window} leaves the int64 range")
+    too_wide = SetFormatError(lines.lastline, f"{window} is too wide to allocate")
+    # per cell, the number of runs that start there less the number that
+    # end there, so that runs may overlap or come in any order
+    cover = allocate(hi - lo + 1, np.int32, too_wide)
+
+    def check(runs):
         a, b = runs[:, 0], runs[:, 1]
-        if (a < b).all() and (a >= lo).all() and (b <= hi).all():
-            np.add.at(cover, a - lo, np.int32(1))
-            np.add.at(cover, b - lo, np.int32(-1))
-            np.cumsum(cover, out=cover)
-            return WindowSet1D(lo, hi, cover[:-1] > 0)
-    lines = significant_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise SetFormatError(0, "empty document") from None
-    lo, hi, cover = _window1d_header(lineno, header)
-    for lineno, line in lines:
-        tok = line.split()
-        if tok[0] != "run":
-            raise SetFormatError(lineno, f"expected run line, got {tok[0]!r}")
-        a, b = _ints(lineno, tok[1:], 2, "run")
+        bad = np.flatnonzero((a >= b) | (a < lo) | (b > hi))
+        if bad.size == 0:
+            return None
+        i = bad[0]
+        a, b = runs[i].tolist()
         if a >= b:
-            raise SetFormatError(lineno, f"run [{a}, {b}) is empty")
-        if a < lo or b > hi:
-            raise SetFormatError(lineno, f"run [{a}, {b}) leaves window [{lo}, {hi})")
-        cover[a - lo] += 1
-        cover[b - lo] -= 1
-    if len(head) == 1:
-        raise RuntimeError("bulk run check rejected runs the line loop accepts")
+            return i, f"run [{a}, {b}) is empty"
+        return i, f"run [{a}, {b}) leaves {window}"
+
+    runs = lines.rows(check)
+    np.add.at(cover, runs[:, 0] - lo, np.int32(1))
+    np.add.at(cover, runs[:, 1] - lo, np.int32(-1))
     np.cumsum(cover, out=cover)
     return WindowSet1D(lo, hi, cover[:-1] > 0)
 

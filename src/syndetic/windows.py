@@ -132,11 +132,8 @@ class WindowSet1D:
         """All members in increasing order, as absolute integers."""
         return np.flatnonzero(self._mask).astype(np.int64) + self.lo
 
-    def covers(self, m: int) -> bool:
-        return self.lo <= m < self.hi
-
     def contains(self, m: int) -> bool:
-        if not self.covers(m):
+        if not self.lo <= m < self.hi:
             raise WindowError(f"query {m} outside window [{self.lo}, {self.hi})")
         return bool(self._mask[m - self.lo])
 

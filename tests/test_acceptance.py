@@ -327,7 +327,7 @@ def mutations(cert, s):
     moved = None
     for idx, (a, d) in enumerate(pts):
         if any(
-            not (s.covers(a + 1 + j * d) and s.contains(a + 1 + j * d))
+            not (s.lo <= a + 1 + j * d < s.hi and s.contains(a + 1 + j * d))
             for j in range(cert.steps + 1)
         ):
             shifted = list(pts)

@@ -157,7 +157,7 @@ class TestSetHead:
     def test_second_header(self):
         with pytest.raises(SetFormatError) as err:
             load_window1d("window1d 0 10\nwindow1d 0 10\nrun 1 2\n")
-        assert str(err.value) == "line 2: expected run line, got 'window1d'"
+        assert str(err.value) == "line 2: expected key 'run', got 'window1d'"
 
     def test_run_line_before_the_writer_block(self):
         s = load_window1d("# set\nwindow1d 0 10\n run 1 2\nrun 4 6\n")
@@ -227,7 +227,7 @@ class TestLargeDocuments:
         field = text.splitlines()[lineno - 1].split()[1]
         with pytest.raises(SetFormatError) as err:
             load_window1d(text)
-        assert str(err.value) == f"line {lineno}: malformed integer {field!r}"
+        assert str(err.value) == f"line {lineno}: malformed integer {field!r} in run"
 
     @pytest.mark.parametrize(
         "run,message",
@@ -289,4 +289,10 @@ class TestLargeDocuments:
         lines[mid] = f"pt {x} {y}"
         with pytest.raises(CertificateParseError) as err:
             parse("\n".join(lines) + "\n")
+        assert str(err.value) == f"line {mid + 1}: pt ({x}, {y}) leaves the box"
+        # line by line, a malformed field after the bad line is not named
+        if mid < block[-1]:
+            lines[block[-1]] = lines[block[-1]].replace("pt ", "pt +", 1)
+        with pytest.raises(CertificateParseError) as err:
+            parse(loop_only("\n".join(lines) + "\n"))
         assert str(err.value) == f"line {mid + 1}: pt ({x}, {y}) leaves the box"

@@ -15,9 +15,11 @@ from syndetic.certificate import (
     set_digest,
     verify_fg,
     _recount_pairs,
+    _vdw_beyond,
 )
 from syndetic.generators import periodic_set, striped_set
 from syndetic.pipeline import fg_construct
+from syndetic.vdw import vdw_number
 from syndetic.windows import WindowSet1D, WindowSet2D, shifted_union_1d
 
 DATA = Path(__file__).parent / "data"
@@ -157,7 +159,7 @@ class TestVerify:
             i
             for i, (a, d) in enumerate(pts)
             if any(
-                not (s.covers(a + 1 + j * d) and s.contains(a + 1 + j * d))
+                not (s.lo <= a + 1 + j * d < s.hi and s.contains(a + 1 + j * d))
                 for j in range(striped_cert.steps + 1)
             )
         )
@@ -253,6 +255,18 @@ class TestVerify:
         verdict = verify_fg(bad, s)
         assert time.perf_counter() - t0 < 1.0
         assert verdict.failed_claim == claim
+
+    def test_vdw_search_skipped_only_past_the_budget(self):
+        # budgets on both sides of k + 1 (one color) and 2**k - 1 (more)
+        skipped = set()
+        for colors in range(1, 4):
+            for steps in range(1, 7):
+                for budget in range(1, 2**steps + 2):
+                    if _vdw_beyond(colors, steps, budget):
+                        skipped.add(min(colors, 2))
+                        res = vdw_number(colors, steps + 1, budget)
+                        assert not res.exhaustive, (colors, steps, budget)
+        assert skipped == {1, 2}
 
     @given(
         st.integers(-20, 20),

@@ -5,6 +5,7 @@ import pytest
 from syndetic.cli import EXIT_INTERNAL, entry, main
 from syndetic.generators import striped_set
 from syndetic.textio import dump_window1d, load_window1d
+from syndetic.vdw import DEFAULT_BUDGET
 from syndetic.windows import WindowSet1D
 
 
@@ -256,6 +257,30 @@ class TestConstructAndVerify:
         code, out, _ = run(capsys, "verify", str(certp), setp)
         assert code == 1
         assert out.splitlines()[1].startswith(verdict)
+
+    def test_verify_huge_k_skips_the_vdw_search(self, tmp_path, capsys):
+        # step-0 pairs pass ap_membership for any k, and W(2, k + 1) needs
+        # at least 2**k - 1 nodes: the search is skipped with its own note
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = [
+            line
+            for line in certp.read_text().splitlines()
+            if not line.startswith("pt ") or line.endswith(" 0")
+        ]
+        kept = sum(line.startswith("pt ") for line in lines)
+        edits = {"k": 10**15, "scale_out": 0, "class_count": kept}
+        for i, line in enumerate(lines):
+            key = line.split()[0]
+            if key in edits:
+                lines[i] = f"{key} {edits[key]}"
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", str(certp), setp)
+        assert code == 1
+        assert out.splitlines()[1].startswith("FAIL triple_range")
+        budget = DEFAULT_BUDGET
+        assert f"note vdw recomputation exhausted {budget} nodes; span unchecked" in out
 
     def test_verify_radius_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))

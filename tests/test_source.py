@@ -19,6 +19,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_only_textio_reads_line_documents():
+    # the writer-form decision and the integer grammar sit behind
+    # textio.Lines; every other module reads documents through it
+    names = {"significant_lines", "writer_rows", "canonical_int"}
+    readers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if {getattr(node, attr, None) for attr in ("id", "attr", "name")} & names
+    }
+    assert readers == {"textio.py"}
+
+
 def _caller_nodes() -> list[ast.AST]:
     """Every node of the code outside the tests that uses the library: the
     package itself bar the re-exports of ``__init__``, the demos and the

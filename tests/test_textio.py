@@ -53,6 +53,7 @@ class TestWindow1DFormat:
             ("window1d 0 five\n", 1),
             ("window1d 0 4\nrun 0\n", 2),
             ("window1d 0 4\nrun 2 2\n", 2),
+            ("window1d 0 4\nrun 2 2\nrun x 3\n", 2),
             ("window1d 0 4\nrun 0 5\n", 2),
             ("window1d 0 4\npt 1 1\n", 2),
             ("# lead\nwindow1d 0 4\nrun x 2\n", 3),
