@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import Lines, allocate, dump_window1d, fits_int64
+from .textio import Lines, allocate, dump_rows, dump_window1d, fits_int64
 from .vdw import vdw_number
 from .windows import (
     Scale,
@@ -138,8 +138,7 @@ def set_digest(s: WindowSet1D) -> str:
 
 
 def serialize(cert: FgCertificate) -> str:
-    pts = cert.ap_pairs.points()
-    lines = [
+    head = [
         HEADER,
         "input",
         f"window1d {cert.lo} {cert.hi}",
@@ -159,14 +158,17 @@ def serialize(cert: FgCertificate) -> str:
         "mtilde",
         "window2d {} {} {} {}".format(*cert.ap_pairs.box),
     ]
-    lines.extend(f"pt {x} {y}" for x, y in pts.tolist())
-    lines.append("claims")
-    lines.append("pair_box {} {} {} {}".format(*cert.pair_box))
-    lines.append(f"pair_count {cert.pair_count}")
-    lines.append(f"class_count {cert.class_count}")
-    lines.append(f"scale_in {cert.length_in}")
-    lines.append(f"scale_out {cert.length_out}")
-    return "\n".join(lines) + "\n"
+    claims = [
+        "claims",
+        "pair_box {} {} {} {}".format(*cert.pair_box),
+        f"pair_count {cert.pair_count}",
+        f"class_count {cert.class_count}",
+        f"scale_in {cert.length_in}",
+        f"scale_out {cert.length_out}",
+    ]
+    pts = cert.ap_pairs.points()
+    pt_block = dump_rows("pt", pts[:, 0], pts[:, 1])
+    return "\n".join(head) + "\n" + pt_block + "\n".join(claims) + "\n"
 
 
 def parse(text: str) -> FgCertificate:

@@ -229,6 +229,13 @@ def pigeonhole_extract(
     """Class with the best 2D scale at radius_2d; ties go to the least
     triple.  Returns (triple, class, achieved scale).
 
+    Classes are scored in triple order, and only while they can still win:
+    the shifted union of a class on a w x h box lies in a box of
+    (w + radius_2d - 1) x (h + radius_2d - 1) cells, so its score is at
+    most min(w, h) + radius_2d - 1.  A class whose cap does not exceed the
+    best score so far would at most tie with an earlier triple, so it is
+    not scored.  The result is the one scoring every class would give.
+
     Scoring is sequential.  ``workers`` is validated but changes neither
     speed nor result; it stays only because the benchmark's stage replay
     passes it.
@@ -237,15 +244,20 @@ def pigeonhole_extract(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not classes:
         raise ValueError("no classes to extract from")
-    items = sorted(classes.items(), key=lambda kv: kv[0].sort_key())
-    sets = [cls for _, cls in items]
-    scores = [ps_scale_2d(c, radius_2d) for c in sets]
-    if max(scores) == 0 and all(c.is_empty() for c in sets):
+    best, best_score = None, 0
+    for triple, cls in sorted(classes.items(), key=lambda kv: kv[0].sort_key()):
+        x_lo, x_hi, y_lo, y_hi = cls.box
+        cap = min(x_hi - x_lo, y_hi - y_lo) + radius_2d - 1
+        if cap <= best_score:
+            continue
+        score = ps_scale_2d(cls, radius_2d)
+        if score > best_score:
+            best, best_score = (triple, cls), score
+    # a nonempty class scores at least 1, and the cap is never below 1, so
+    # a score of 0 means that every class was scored and found empty
+    if best is None:
         raise ValueError("all classes are empty")
-    best = max(range(len(items)), key=lambda i: (scores[i], -i))
-    # max with -i keeps the first (least) triple among tied scores
-    triple, chosen = items[best]
-    return triple, chosen, scores[best]
+    return (*best, best_score)
 
 
 def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:

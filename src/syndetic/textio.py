@@ -5,9 +5,10 @@ here and certificates in ``certificate``.
 All formats are line based with space-separated fields.  Lines starting
 with ``#`` and blank lines are ignored on input.  Writers emit a canonical
 form (maximal runs, sorted rows) so that equal values serialize to equal
-bytes.  A document's block of integer rows is read in one pass when it is
-exactly in that form (``writer_rows``) and line by line otherwise; one
-row check per document serves both paths and names the first bad line.
+bytes.  A document's block of integer rows is written in one vectorized
+pass (``dump_rows``), and read in one pass when it is exactly in that form
+(``writer_rows``) and line by line otherwise; one row check per document
+serves both paths and names the first bad line.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "fits_int64",
     "allocate",
     "Lines",
+    "dump_rows",
     "dump_window1d",
     "load_window1d",
     "dump_coloring",
@@ -80,6 +82,47 @@ def writer_rows(block: str, key: str, width: int) -> np.ndarray | None:
         return None
     fields = np.fromstring(block.replace(key, ""), dtype=np.int64, sep=" ")
     return fields.reshape(-1, width)
+
+
+def dump_rows(key: str, *columns: np.ndarray) -> str:
+    """One ``<key> <int> ... <int>`` line per row of the int64 columns, in
+    the form ``writer_rows`` reads back: the bytes of an f-string per row,
+    written in one vectorized pass.
+
+    Every row is laid out in one fixed-width uint8 matrix: the key, then
+    per field a space, a sign cell and the digits, right-aligned, with NUL
+    in every unused cell.  Digits come from repeated division of the uint64
+    magnitudes, negated in two's complement so that -2**63 is exact, and
+    one boolean compress drops the padding.
+    """
+    fields = []
+    for column in columns:
+        values = np.asarray(column, dtype=np.int64)
+        negative = values < 0
+        magnitude = values.view(np.uint64).copy()
+        np.negative(magnitude, out=magnitude, where=negative)
+        fields.append((negative, magnitude, len(str(magnitude.max(initial=0)))))
+    head = key.encode("ascii")
+    width = len(head) + sum(2 + digits for *_, digits in fields) + 1
+    out = np.zeros((len(fields[0][0]), width), dtype=np.uint8)
+    out[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+    at = len(head)
+    ten = np.uint64(10)
+    for negative, q, digits in fields:
+        out[:, at] = ord(" ")
+        out[:, at + 1] = negative * np.uint8(ord("-"))
+        last = at + 1 + digits
+        for j in range(last, at + 1, -1):
+            r = q // ten
+            digit = (q - r * ten).astype(np.uint8) + np.uint8(ord("0"))
+            if j < last:
+                # a leading zero is padding; the last digit is always kept
+                digit *= q != 0
+            out[:, j] = digit
+            q = r
+        at = last + 1
+    out[:, -1] = ord("\n")
+    return out[out != 0].tobytes().decode("ascii")
 
 
 def fits_int64(*values: int) -> bool:
@@ -215,11 +258,7 @@ class Lines:
 
 def dump_window1d(s: WindowSet1D) -> str:
     starts, ends = run_edges(s.mask)
-    lines = [f"window1d {s.lo} {s.hi}"]
-    lines += [
-        f"run {a} {b}" for a, b in zip((starts + s.lo).tolist(), (ends + s.lo).tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    return f"window1d {s.lo} {s.hi}\n" + dump_rows("run", starts + s.lo, ends + s.lo)
 
 
 def load_window1d(text: str) -> WindowSet1D:

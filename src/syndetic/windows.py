@@ -378,34 +378,40 @@ def shifted_union_2d(m: WindowSet2D, radius: int) -> WindowSet2D:
 
     (x, y) is a member iff (x+t1, y+t2) is a member of m for some shift
     pair; the result box is [x_lo-radius, x_hi-1) x [y_lo-radius, y_hi-1).
+
+    So (x, y) is a member iff the side-radius square at (x+1, y+1) meets
+    m.  With m padded by radius-1 empty cells on each side, the corners of
+    side-1 squares that meet m are its own members; each OR step (the
+    mirror of the erosion in ``ps_scale_2d``) grows the side by an offset
+    no larger than the side so far, doubling up to radius.  That costs
+    O(area * log radius).
     """
     radius = _as_int("radius", radius)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+    pad = radius - 1
     wx = m.x_hi - m.x_lo
     wy = m.y_hi - m.y_lo
-    wy2 = wy + radius - 1
-    wx2 = wx + radius - 1
-    # the shift set is a product, so the union separates into one pass per axis
-    tmp = np.zeros((wx, wy2), dtype=bool)
-    for t in range(1, radius + 1):
-        shift = radius - t
-        tmp[:, shift : shift + wy] |= m.mask
-    out = np.zeros((wx2, wy2), dtype=bool)
-    for t in range(1, radius + 1):
-        shift = radius - t
-        out[shift : shift + wx, :] |= tmp
-    return WindowSet2D(m.x_lo - radius, m.x_hi - 1, m.y_lo - radius, m.y_hi - 1, out)
+    sq = np.zeros((wx + 2 * pad, wy + 2 * pad), dtype=bool)
+    sq[pad : pad + wx, pad : pad + wy] = m.mask
+    side = 1
+    while side < radius:
+        step = min(side, radius - side)
+        sq, side = _square_by(np.logical_or, sq, step), side + step
+    return WindowSet2D(m.x_lo - radius, m.x_hi - 1, m.y_lo - radius, m.y_hi - 1, sq)
 
 
-def _erode_by(sq: np.ndarray, b: int) -> np.ndarray:
-    """Keep cell (i, j) only when it and (i+b, j), (i, j+b), (i+b, j+b) are
-    all kept: if sq marks the corners of full side-a squares and b <= a,
-    the four side-a squares tile a side-(a+b) square, so the result marks
-    the corners of full side-(a+b) squares.  An offset past the edge of sq
-    leaves an empty array."""
-    rows = sq[:-b] & sq[b:]
-    return rows[:, :-b] & rows[:, b:]
+def _square_by(op, sq: np.ndarray, b: int) -> np.ndarray:
+    """Cell (i, j) combined by op with (i+b, j), (i, j+b) and (i+b, j+b),
+    on an array b cells shorter on each axis.  If sq marks the corners of
+    side-a squares and b <= a, those four side-a squares tile a side-(a+b)
+    square.  So with logical_and, corners of full side-a squares become
+    corners of full side-(a+b) squares (erosion); with logical_or, corners
+    of side-a squares that meet a set become those of side-(a+b) squares
+    that meet it (dilation).  An offset past the edge of sq leaves an
+    empty array."""
+    rows = op(sq[:-b], sq[b:])
+    return op(rows[:, :-b], rows[:, b:])
 
 
 def ps_scale_2d(m: WindowSet2D, radius: int) -> int:
@@ -415,18 +421,18 @@ def ps_scale_2d(m: WindowSet2D, radius: int) -> int:
     Doubles the side while a full square remains, then adds the halves
     back in descending order, keeping each one that leaves a full square.
     Every offset added is at most the side reached so far (the b <= a
-    invariant of the erosion), so the search is exact and costs
+    invariant of ``_square_by``), so the search is exact and costs
     O(area * log side).
     """
     sq = shifted_union_2d(m, radius).mask
     if not sq.any():
         return 0
     side = 1
-    while (grown := _erode_by(sq, side)).any():
+    while (grown := _square_by(np.logical_and, sq, side)).any():
         sq, side = grown, 2 * side
     step = side // 2
     while step:
-        if (grown := _erode_by(sq, step)).any():
+        if (grown := _square_by(np.logical_and, sq, step)).any():
             sq, side = grown, side + step
         step //= 2
     return side

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -398,3 +399,44 @@ class TestReproducibility:
             # drop the header, which echoes the differing worker count
             docs.append(text.split("\n", 1)[1])
         assert docs[0] == docs[1]
+
+
+# sha256 of the gen, construct, verify and check1d documents, written before
+# rows came from one vectorized writer: negative and multi-digit fields end
+# to end, on a striped window at -2**40 and a periodic one across 0
+PINNED_DOCUMENTS = {
+    "ps-striped": (
+        ["--window", str(-(2**40)), str(-(2**40) + 10**4), "--block", "5", "--gap", "2"],
+        {
+            "s.set": "ca3fa5b342326b03fcda08652fb886cf35770f50ef63a4b0e53907226c287123",
+            "c.fgcert": "d3a17dedae3aed73d4a1d54e7e4eb8c8a5a7fbb1df82c92a75bda390729690b7",
+            "v.txt": "c326d6bee23d149a2671706f03e406095d5ea6f733270318a6d5bb420f8d54bf",
+            "k.txt": "0b50ff2459418cb7852efc09a1930b28aab45d9938147513c1a90be8485d91b5",
+        },
+    ),
+    "periodic": (
+        ["--window", "-4999", "5001", "--period", "5", "--residues", "0,1,3"],
+        {
+            "s.set": "c310eb61273a65fb8857111de0609d78d49703854e35d5e0039679eb656f83b7",
+            "c.fgcert": "b8207f24a7ccf7baf1d57725d7106c0beb6d14d7bd6f72051e4b774099b1725d",
+            "v.txt": "c326d6bee23d149a2671706f03e406095d5ea6f733270318a6d5bb420f8d54bf",
+            "k.txt": "2a606644cc619ddf0903b5a33b591fac2c319e65796adcc9f74d7892a21556f9",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DOCUMENTS))
+def test_documents_are_pinned(tmp_path, monkeypatch, capsys, kind):
+    # relative paths, since each document's runconfig line echoes them
+    monkeypatch.chdir(tmp_path)
+    given, pinned = PINNED_DOCUMENTS[kind]
+    assert run(capsys, "gen", kind, *given, "--out", "s.set")[0] == 0
+    assert run(capsys, "construct", "s.set", "2", "2", "--out", "c.fgcert")[0] == 0
+    assert run(capsys, "verify", "c.fgcert", "s.set", "--out", "v.txt")[0] == 0
+    assert run(capsys, "check1d", "s.set", "2", "9000", "--out", "k.txt")[0] == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in pinned
+    }
+    assert got == pinned

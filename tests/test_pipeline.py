@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import naive
+from syndetic import pipeline
 from syndetic.certificate import (
     VERSION_TAG,
     FgCertificate,
@@ -171,6 +172,36 @@ class TestColorClasses:
         assert labels(classes) == naive_labels(s, pairs, 2, 8, 2)
 
 
+def naive_extract(classes, radius_2d):
+    """Every class scored by the brute-force oracle; the best score, ties
+    to the least triple."""
+    scores = {
+        t: naive.ps_scale_2d(set(map(tuple, c.points().tolist())), c.box, radius_2d)
+        for t, c in classes.items()
+    }
+    order = sorted(classes, key=ColorTriple.sort_key)
+    best = max(order, key=lambda t: (scores[t], -order.index(t)))
+    return best, classes[best], scores[best]
+
+
+# classes on boxes of different shapes, up to 6 x 6; full ones reach their
+# cap, so that later classes are skipped
+sets_2d_small = st.builds(
+    lambda xlo, ylo, wx, wy, pick: WindowSet2D(*naive.points_in_box(
+        xlo, xlo + wx, ylo, ylo + wy,
+        [(xlo + i, ylo + j) for i, j in pick if i < wx and j < wy],
+    )),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.one_of(
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+        st.just({(i, j) for i in range(6) for j in range(6)}),
+    ),
+)
+
+
 class TestPigeonholeExtract:
     def test_single_class(self):
         cls = WindowSet2D(*naive.points_in_box(0, 4, 0, 4, [(1, 1), (1, 2)]))
@@ -217,6 +248,65 @@ class TestPigeonholeExtract:
         }
         assert score == max(brute.values())
         assert brute[[t for t, c in classes.items() if c == chosen][0]] == score
+
+    def test_class_at_its_cap_stops_later_ties(self, monkeypatch):
+        # a full 3x3 class scores min(3, 3) + 2 - 1 = 4 at radius 2, the
+        # most any class on that box can, so the tying class is not scored
+        full = WindowSet2D(0, 3, 0, 3, np.ones((3, 3), bool))
+        classes = {ColorTriple(0, 1, 1): full, ColorTriple(1, 1, 1): full}
+        scored = []
+        monkeypatch.setattr(
+            pipeline, "ps_scale_2d", lambda m, r: scored.append(m) or ps_scale_2d(m, r)
+        )
+        got = pigeonhole_extract(classes, 2)
+        assert got == naive_extract(classes, 2)
+        assert (got[0], got[2]) == (ColorTriple(0, 1, 1), 4)
+        assert len(scored) == 1
+
+    def test_class_below_its_cap_is_beaten_at_the_cap(self):
+        # a 2x2 block in a 3x3 box scores 3, one below the cap of 4; the
+        # full box of a later triple reaches the cap and wins
+        block = np.zeros((3, 3), bool)
+        block[:2, :2] = True
+        classes = {
+            ColorTriple(0, 1, 1): WindowSet2D(0, 3, 0, 3, block),
+            ColorTriple(0, 2, 1): WindowSet2D(0, 3, 0, 3, np.ones((3, 3), bool)),
+        }
+        got = pigeonhole_extract(classes, 2)
+        assert got == naive_extract(classes, 2)
+        assert (got[0], got[2]) == (ColorTriple(0, 2, 1), 4)
+
+    @pytest.mark.parametrize("radius_2d", [1, 2, 3])
+    def test_cap_is_per_box(self, radius_2d):
+        # a full 2x6 class reaches its own cap, min(2, 6) + radius_2d - 1,
+        # which is below what the later 5x5 class scores
+        classes = {
+            ColorTriple(0, 1, 1): WindowSet2D(0, 2, -3, 3, np.ones((2, 6), bool)),
+            ColorTriple(1, 1, 1): WindowSet2D(4, 6, 0, 1, np.ones((2, 1), bool)),
+            ColorTriple(0, 1, 2): WindowSet2D(-2, 3, 0, 5, np.ones((5, 5), bool)),
+            ColorTriple(0, 2, 2): WindowSet2D(0, 9, 0, 2, np.ones((9, 2), bool)),
+        }
+        got = pigeonhole_extract(classes, radius_2d)
+        assert got == naive_extract(classes, radius_2d)
+        assert (got[0], got[2]) == (ColorTriple(0, 1, 2), 5 + radius_2d - 1)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 7), sets_2d_small),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 4),
+    )
+    def test_matches_scoring_every_class(self, picks, radius_2d):
+        classes = {ColorTriple(offset, 1, shift): m for offset, shift, m in picks}
+        if all(m.is_empty() for m in classes.values()):
+            with pytest.raises(ValueError, match="all classes are empty"):
+                pigeonhole_extract(classes, radius_2d)
+        else:
+            assert pigeonhole_extract(classes, radius_2d) == naive_extract(
+                classes, radius_2d
+            )
 
     def test_worker_count_does_not_change_result(self):
         s = striped_set((0, 120), 6, 2)

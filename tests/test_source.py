@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import syndetic
@@ -30,6 +31,32 @@ def test_only_textio_reads_line_documents():
         if {getattr(node, attr, None) for attr in ("id", "attr", "name")} & names
     }
     assert readers == {"textio.py"}
+
+
+def _templates(tree: ast.Module):
+    """Every string literal, and every f-string with ``{}`` for each of its
+    replacement fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(
+                v.value if isinstance(v, ast.Constant) else "{}" for v in node.values
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_textio_formats_writer_rows():
+    # run and pt lines are formatted by textio.dump_rows alone, in one
+    # vectorized pass from a key and integer columns; a per-line template
+    # such as f"pt {x} {y}" or "run {} {}" anywhere is a second writer
+    row = re.compile(r"(run|pt)( \{[^}]*\})+\n?")
+    writers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for template in _templates(ast.parse(path.read_text()))
+        if row.fullmatch(template)
+    }
+    assert writers == set()
 
 
 def _caller_nodes() -> list[ast.AST]:

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import naive
 from syndetic.textio import (
     SetFormatError,
     dump_coloring,
+    dump_rows,
     dump_vdw_result,
     dump_window1d,
     load_window1d,
@@ -20,6 +23,51 @@ sets_1d = st.builds(
     st.sets(st.integers(0, 59)),
 )
 
+# the same, with windows at both ends of the int64 range
+sets_1d_edges = st.builds(
+    lambda lo, width, pick: WindowSet1D.from_members(
+        lo, lo + width, [lo + i for i in pick if i < width]
+    ),
+    st.one_of(
+        st.integers(-50, 50),
+        st.integers(-(2**63), -(2**63) + 10),
+        st.integers(2**63 - 71, 2**63 - 61),
+    ),
+    st.integers(1, 60),
+    st.sets(st.integers(0, 59)),
+)
+
+# where a field gains a digit or a sign: 0, -1, +-10**k, +-(10**k - 1)
+# and the two ends of int64
+EDGES = [-(2**63), 2**63 - 1, 0, -1] + [
+    sign * v for k in range(1, 19) for v in (10**k, 10**k - 1) for sign in (1, -1)
+]
+int64s = st.one_of(st.sampled_from(EDGES), st.integers(-(2**63), 2**63 - 1))
+# (n, width) blocks of 1 to 4 columns, empty ones included
+blocks = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.tuples(*[int64s] * width), max_size=20).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, width)
+    )
+)
+
+
+def fstring_rows(key, block):
+    # the reference writer: one f-string per row
+    return "".join(
+        f"{key} " + " ".join(str(v) for v in row) + "\n" for row in block.tolist()
+    )
+
+
+class TestDumpRows:
+    @given(blocks, st.sampled_from(["run", "pt", "k"]))
+    @example(np.array(EDGES, dtype=np.int64).reshape(-1, 1), "run")
+    @example(np.array(EDGES, dtype=np.int64).reshape(-1, 2), "pt")
+    @example(np.zeros((0, 2), dtype=np.int64), "pt")
+    def test_matches_fstring_rows(self, block, key):
+        # the columns are strided views, as serialize passes them
+        assert dump_rows(key, *block.T) == fstring_rows(key, block)
+
+
 class TestWindow1DFormat:
     def test_canonical_runs(self):
         s = WindowSet1D.from_members(-2, 8, [-2, -1, 3, 5, 6])
@@ -27,6 +75,12 @@ class TestWindow1DFormat:
 
     def test_empty_set(self):
         assert dump_window1d(WindowSet1D.from_members(0, 4, [])) == "window1d 0 4\n"
+
+    @given(sets_1d_edges)
+    def test_dump_matches_fstring_lines(self, s):
+        runs = naive.runs(set(s.members().tolist()), s.lo, s.hi)
+        lines = [f"window1d {s.lo} {s.hi}"] + [f"run {a} {b}" for a, b in runs]
+        assert dump_window1d(s) == "\n".join(lines) + "\n"
 
     @given(sets_1d)
     def test_round_trip(self, s):

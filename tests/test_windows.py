@@ -384,7 +384,8 @@ class TestShiftedUnion2D:
             (-2, -2), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0, -1), (0, 0),
         }
 
-    @given(sets_2d, st.integers(1, 3))
+    # radii past 4 reach doubling's overlapping last step (5, 6, 7, 9)
+    @given(sets_2d, st.integers(1, 9))
     def test_matches_naive(self, m, radius):
         pts = set(map(tuple, m.points().tolist()))
         want, wbox = naive.shifted_union_2d(pts, m.box, radius)
@@ -411,7 +412,7 @@ class TestPsScale2D:
             b = WindowSet2D(0, 8, 0, 8, big)
             assert ps_scale_2d(a, 2) <= ps_scale_2d(b, 2)
 
-    @given(sets_2d, st.integers(1, 3))
+    @given(sets_2d, st.integers(1, 9))
     def test_matches_naive(self, m, radius):
         pts = set(map(tuple, m.points().tolist()))
         assert ps_scale_2d(m, radius) == naive.ps_scale_2d(pts, m.box, radius)
