@@ -51,13 +51,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .textio import Lines, allocate, dump_rows, dump_window1d, fits_int64
+from .textio import Lines, allocate, dump_rows, dump_window1d
 from .vdw import vdw_number
 from .windows import (
     Scale,
     WindowSet1D,
     WindowSet2D,
+    box_mask,
     first_member,
+    fits_int64,
     is_ps_at_scale,
     progressions_in,
     ps_scale_2d,
@@ -233,7 +235,7 @@ def parse(text: str) -> FgCertificate:
         return i, "pt lines must be strictly increasing"
 
     rows = r.rows(check)
-    mask = allocate((bx[1] - bx[0], bx[3] - bx[2]), bool, too_wide)
+    mask = allocate(lambda: box_mask((bx[1] - bx[0], bx[3] - bx[2])), too_wide)
     mask[rows[:, 0] - bx[0], rows[:, 1] - bx[2]] = True
     ap_pairs = WindowSet2D(*bx, mask)
     pair_box = tuple(r.keyed_ints("pair_box", 4))
@@ -298,7 +300,8 @@ def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) ->
     y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
     # a chunk of rows at a time, so memory stays linear in the union's width
     chunks = ((*starts, y, min(y + _ROWS, y_hi)) for y in range(y_lo, y_hi, _ROWS))
-    return sum(int(progressions_in(u, c, range(span + 1)).sum()) for c in chunks)
+    probed = (progressions_in(u, c, range(span + 1)) for c in chunks)
+    return sum(int(np.count_nonzero(ok)) for ok in probed)
 
 
 def _vdw_beyond(colors: int, steps: int, budget: int) -> bool:
@@ -423,7 +426,7 @@ def verify_fg(
     p_lo = (y_lo + first) // cert.stride
     pre = (x_lo, x_hi, p_lo, p_lo + cols.shape[1])
     bx = cert.pair_box
-    in_box = np.zeros(cols.shape, dtype=bool)
+    in_box = box_mask(cols.shape)
     for j, p in enumerate(range(pre[2], pre[3])):
         if bx[2] <= p < bx[3]:
             move = cert.offset * p + cert.shift

@@ -3,6 +3,8 @@
 Every generator is a pure function of (kind, params, seed): equal inputs
 give bit-identical sets.  The structured kinds (periodic, thick-blocks,
 ps-striped) ignore the seed; random-sparse derives all randomness from it.
+Every generated window is nonempty with int64 bounds, so that the set has
+a document; any other window is a ``WindowError``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .windows import WindowError, WindowSet1D
+from .windows import WindowError, WindowSet1D, check_window
 
 __all__ = [
     "KINDS",
@@ -30,22 +32,21 @@ def _window(params: dict) -> tuple[int, int]:
         lo, hi = params["window"]
     except (KeyError, TypeError, ValueError):
         raise ValueError("params must carry window=(lo, hi)") from None
-    lo, hi = int(lo), int(hi)
-    if lo >= hi:
-        raise ValueError(f"window [{lo}, {hi}) is empty")
-    return lo, hi
+    return check_window(int(lo), int(hi))
 
 
 def periodic_set(window: tuple[int, int], period: int, residues: Iterable[int]) -> WindowSet1D:
     """All m in the window with m mod period in ``residues``."""
-    lo, hi = window
+    lo, hi = check_window(*window)
     period = int(period)
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     res = sorted({int(r) for r in residues})
     if any(r < 0 or r >= period for r in res):
         raise ValueError(f"residues must lie in [0, {period}), got {res}")
-    grid = np.arange(lo, hi, dtype=np.int64)
+    # lo + i and lo % period + i agree mod period, and the latter stays
+    # in int64 wherever the window lies
+    grid = np.arange(hi - lo, dtype=np.int64) + lo % period
     mask = np.isin(grid % period, np.asarray(res, dtype=np.int64))
     return WindowSet1D(lo, hi, mask)
 
@@ -57,7 +58,7 @@ def thick_blocks_set(window: tuple[int, int], block: int, gap: int) -> WindowSet
     ones, so runs of every length eventually appear while the gaps grow
     without bound: thick-like but not syndetic.
     """
-    lo, hi = window
+    lo, hi = check_window(*window)
     block = int(block)
     gap = int(gap)
     if block < 1:
@@ -83,7 +84,7 @@ def striped_set(window: tuple[int, int], block: int, gap: int) -> WindowSet1D:
     block and the first of the next is exactly ``gap``.  The shifted union
     at radius >= gap therefore covers a run spanning nearly the window.
     """
-    lo, hi = window
+    lo, hi = check_window(*window)
     block = int(block)
     gap = int(gap)
     if block < 1:
@@ -91,13 +92,13 @@ def striped_set(window: tuple[int, int], block: int, gap: int) -> WindowSet1D:
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
     period = block + gap - 1
-    rel = (np.arange(lo, hi, dtype=np.int64) - lo) % period
+    rel = np.arange(hi - lo, dtype=np.int64) % period
     return WindowSet1D(lo, hi, rel < block)
 
 
 def random_sparse_set(window: tuple[int, int], density: float, seed: int) -> WindowSet1D:
     """Independent seeded coin flips at the given density."""
-    lo, hi = window
+    lo, hi = check_window(*window)
     density = float(density)
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must lie in (0, 1], got {density}")

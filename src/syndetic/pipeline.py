@@ -33,6 +33,7 @@ from .windows import (
     Scale,
     WindowSet1D,
     WindowSet2D,
+    box_mask,
     contains_interval,
     first_member,
     is_ps_at_scale,
@@ -200,7 +201,8 @@ def color_classes(
     input and their cardinalities sum to its count.
     """
     out: dict[ColorTriple, WindowSet2D] = {}
-    remaining = pairs.mask.copy()
+    remaining = box_mask(pairs.mask.shape)
+    remaining[...] = pairs.mask
     for triple in _triples(radius, span, steps):
         if not remaining.any():
             break
@@ -279,7 +281,7 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
     u_lo = min(dx + f for dx, f in zip(dxs, firsts))
     u_hi = max(dx + e for dx, e in zip(dxs, ends))
     v_lo, v_hi = min(vs), max(vs) + 1
-    out = np.zeros((u_hi - u_lo, v_hi - v_lo), dtype=bool)
+    out = box_mask((u_hi - u_lo, v_hi - v_lo))
     for j, f, e, dx, v in zip(cols.tolist(), firsts, ends, dxs, vs):
         out[dx + f - u_lo : dx + e - u_lo, v - v_lo] = mask[f:e, j]
     return WindowSet2D(u_lo, u_hi, v_lo, v_hi, out)

@@ -18,13 +18,12 @@ import re
 import numpy as np
 
 from .vdw import Coloring, VdwResult
-from .windows import WindowSet1D, run_edges
+from .windows import WindowSet1D, check_window, fits_int64, run_edges
 
 __all__ = [
     "SetFormatError",
     "canonical_int",
     "writer_rows",
-    "fits_int64",
     "allocate",
     "Lines",
     "dump_rows",
@@ -125,17 +124,11 @@ def dump_rows(key: str, *columns: np.ndarray) -> str:
     return out[out != 0].tobytes().decode("ascii")
 
 
-def fits_int64(*values: int) -> bool:
-    """Whether numpy can hold every value as an int64: window bounds and
-    widths read from a document must, before any array is built from them."""
-    return all(-(2**63) <= v < 2**63 for v in values)
-
-
-def allocate(shape, dtype, error: ValueError) -> np.ndarray:
-    """Zeroed cells for a window or box read from a document; ``error`` when
-    numpy refuses the shape as too large to allocate."""
+def allocate(zeros, error: ValueError) -> np.ndarray:
+    """``zeros()``, the zeroed cells for a window or box read from a
+    document; ``error`` when numpy refuses them as too large to allocate."""
     try:
-        return np.zeros(shape, dtype)
+        return zeros()
     except (MemoryError, ValueError):
         raise error from None
 
@@ -257,6 +250,7 @@ class Lines:
 
 
 def dump_window1d(s: WindowSet1D) -> str:
+    check_window(s.lo, s.hi)
     starts, ends = run_edges(s.mask)
     return f"window1d {s.lo} {s.hi}\n" + dump_rows("run", starts + s.lo, ends + s.lo)
 
@@ -272,7 +266,7 @@ def load_window1d(text: str) -> WindowSet1D:
     too_wide = SetFormatError(lines.lastline, f"{window} is too wide to allocate")
     # per cell, the number of runs that start there less the number that
     # end there, so that runs may overlap or come in any order
-    cover = allocate(hi - lo + 1, np.int32, too_wide)
+    cover = allocate(lambda: np.zeros(hi - lo + 1, np.int32), too_wide)
 
     def check(runs):
         a, b = runs[:, 0], runs[:, 1]

@@ -12,6 +12,10 @@ lexicographically larger, so the first coloring found at the deepest
 depth (children in ascending color order) is the lexicographically least
 extremal one.
 
+One color needs no search: W(1, terms) = terms, and ``vdw_number``
+answers it with the result, node count and budget cut-off the search
+would give.
+
 Budgets are node counts -- one node per attempted color placement.  A
 result with ``exhaustive=False`` only certifies the lower bound given by
 its extremal coloring; no literature value is ever substituted.
@@ -184,6 +188,32 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
     if cached is not None and cached.budget_spent <= budget:
         return cached
 
+    if colors == 1:
+        # W(1, terms) = terms, answered as the search would: it places color
+        # 1 at one new position per node until position terms - 1 closes a
+        # progression, or the budget runs out first
+        best, nodes = [1] * min(terms - 1, budget), min(terms, budget)
+        exhausted = budget < terms
+    else:
+        best, nodes, exhausted = _search(colors, terms, budget)
+
+    extremal = Coloring(tuple(best), colors)
+    if find_mono_ap(extremal, terms) is not None:
+        raise RuntimeError("extremal coloring fails its own verification")
+    result = VdwResult(
+        n=len(best) + 1,
+        extremal=extremal,
+        exhaustive=not exhausted,
+        budget_spent=nodes,
+    )
+    if result.exhaustive:
+        _EXHAUSTIVE_CACHE[(colors, terms)] = result
+    return result
+
+
+def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]:
+    """The depth-first walk: the deepest progression-free prefix found
+    first, the nodes spent, and whether the budget ran out."""
     tails = _tails(terms, 0)
     masks = [0] * (colors + 1)
     seq: list[int] = []
@@ -229,19 +259,7 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
             pending.append(1)
             if c == limit < colors:
                 limit += 1
-
-    extremal = Coloring(tuple(best), colors)
-    if find_mono_ap(extremal, terms) is not None:
-        raise RuntimeError("extremal coloring fails its own verification")
-    result = VdwResult(
-        n=len(best) + 1,
-        extremal=extremal,
-        exhaustive=not exhausted,
-        budget_spent=nodes,
-    )
-    if result.exhaustive:
-        _EXHAUSTIVE_CACHE[(colors, terms)] = result
-    return result
+    return best, nodes, exhausted
 
 
 def vdw_span(colors: int, steps: int, budget: int = DEFAULT_BUDGET) -> SpanResult:

@@ -6,6 +6,13 @@ notions that are asymptotic on infinite sets -- thickness, piecewise
 syndeticity -- become scale-indexed predicates here: each check fixes a
 shift radius and a run length and returns an explicit witness on success.
 
+Memory layout: a 2D mask is indexed ``[x - x_lo, y - y_lo]``, starts
+first, but stored step-major (Fortran order), so that the start axis is
+contiguous.  The pipeline's boxes are thousands of starts wide and at most
+33 steps tall, so numpy's inner loops then run thousands of cells at a
+time, not at most 33.  ``box_mask`` allocates every 2D mask the package
+builds; ``WindowSet2D`` copies any other mask into that order.
+
 Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
 window raises :class:`WindowError`.  The one vectorized probe,
 ``progressions_in`` over a box of starts and steps, counts a term outside
@@ -32,6 +39,9 @@ __all__ = [
     "PSWitness1D",
     "WindowSet1D",
     "WindowSet2D",
+    "box_mask",
+    "check_window",
+    "fits_int64",
     "progressions_in",
     "first_member",
     "run_edges",
@@ -78,16 +88,44 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def fits_int64(*values: int) -> bool:
+    """Whether numpy can hold every value as an int64: window bounds and
+    widths must, before any array is built from them."""
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
+def _bounds(lo, hi) -> tuple[int, int]:
+    """The bounds of a nonempty window, as Python ints."""
+    lo = _as_int("lo", lo)
+    hi = _as_int("hi", hi)
+    if lo >= hi:
+        raise WindowError(f"window [{lo}, {hi}) is empty")
+    return lo, hi
+
+
+def check_window(lo, hi) -> tuple[int, int]:
+    """The bounds of a nonempty window whose bounds are int64 values, as a
+    set document needs them.  A set made here may reach past int64: the
+    shifted union reaches ``radius`` below its set's window."""
+    lo, hi = _bounds(lo, hi)
+    if not fits_int64(lo, hi):
+        raise WindowError(f"window [{lo}, {hi}) leaves the int64 range")
+    return lo, hi
+
+
+def box_mask(shape) -> np.ndarray:
+    """An empty 2D mask in the step-major layout every ``WindowSet2D``
+    keeps; every 2D mask the package builds starts here."""
+    return np.zeros(shape, dtype=bool, order="F")
+
+
 class WindowSet1D:
     """Subset of the integer window [lo, hi), one bit per integer."""
 
     __slots__ = ("lo", "hi", "_mask")
 
     def __init__(self, lo: int, hi: int, mask: np.ndarray):
-        lo = _as_int("lo", lo)
-        hi = _as_int("hi", hi)
-        if lo >= hi:
-            raise WindowError(f"window [{lo}, {hi}) is empty")
+        lo, hi = _bounds(lo, hi)
         arr = np.array(mask, dtype=bool, copy=True)
         if arr.shape != (hi - lo,):
             raise WindowError(
@@ -100,10 +138,7 @@ class WindowSet1D:
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet1D":
-        lo = _as_int("lo", lo)
-        hi = _as_int("hi", hi)
-        if lo >= hi:
-            raise WindowError(f"window [{lo}, {hi}) is empty")
+        lo, hi = _bounds(lo, hi)
         arr = np.zeros(hi - lo, dtype=bool)
         pts = np.asarray(list(members), dtype=np.int64)
         if pts.size:
@@ -123,7 +158,7 @@ class WindowSet1D:
 
     @property
     def count(self) -> int:
-        return int(self._mask.sum())
+        return int(np.count_nonzero(self._mask))
 
     def is_empty(self) -> bool:
         return not self._mask.any()
@@ -154,7 +189,8 @@ class WindowSet1D:
 
 
 class WindowSet2D:
-    """Subset of the integer box [x_lo, x_hi) x [y_lo, y_hi)."""
+    """Subset of the integer box [x_lo, x_hi) x [y_lo, y_hi), its mask
+    indexed [x - x_lo, y - y_lo] and stored step-major."""
 
     __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi", "_mask")
 
@@ -167,7 +203,7 @@ class WindowSet2D:
             raise WindowError(
                 f"box [{x_lo}, {x_hi}) x [{y_lo}, {y_hi}) is empty"
             )
-        arr = np.array(mask, dtype=bool, copy=True)
+        arr = np.array(mask, dtype=bool, copy=True, order="F")
         if arr.shape != (x_hi - x_lo, y_hi - y_lo):
             raise WindowError(
                 f"mask of shape {arr.shape} does not fit box "
@@ -190,7 +226,7 @@ class WindowSet2D:
 
     @property
     def count(self) -> int:
-        return int(self._mask.sum())
+        return int(np.count_nonzero(self._mask))
 
     def is_empty(self) -> bool:
         return not self._mask.any()
@@ -224,7 +260,7 @@ def progressions_in(s: WindowSet1D, box, coefs: range, shift: int = 0) -> np.nda
     the window is absent.  Costs O(area * terms), with at most width + 1
     terms probed."""
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
-    out = np.zeros((x_hi - x_lo, y_hi - y_lo), dtype=bool)
+    out = box_mask((x_hi - x_lo, y_hi - y_lo))
     block = _probe(s, box, coefs, shift)
     if block is not None:
         x, y, ok = block
@@ -288,9 +324,10 @@ def _probe(s: WindowSet1D, box, coefs: range, shift: int):
 def first_member(box, mask: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically least (x, y) marked in a mask indexed from the
     box's lower corner, or None if the mask is empty."""
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
+    # most masks are empty, and flatnonzero copies a step-major mask
+    if not mask.any():
         return None
+    hits = np.flatnonzero(mask)
     # row-major order is lexicographic order on (x, y)
     x, y = divmod(int(hits[0]), mask.shape[1])
     return (box[0] + x, box[2] + y)
@@ -392,7 +429,7 @@ def shifted_union_2d(m: WindowSet2D, radius: int) -> WindowSet2D:
     pad = radius - 1
     wx = m.x_hi - m.x_lo
     wy = m.y_hi - m.y_lo
-    sq = np.zeros((wx + 2 * pad, wy + 2 * pad), dtype=bool)
+    sq = box_mask((wx + 2 * pad, wy + 2 * pad))
     sq[pad : pad + wx, pad : pad + wy] = m.mask
     side = 1
     while side < radius:

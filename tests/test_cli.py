@@ -76,6 +76,22 @@ class TestCheckCommand:
         assert code == 0
         assert "witness -2" in out
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "window1d -9223372036854775808 -9223372036854775798\n"
+            "run -9223372036854775808 -9223372036854775798\n",
+            dump_window1d(striped_set((-(2**63), -(2**63) + 100), 5, 2)),
+        ],
+    )
+    def test_window_at_int64_min(self, tmp_path, capsys, doc):
+        # the shifted union starts below -2**63, and the witness with it
+        path = tmp_path / "low.set"
+        path.write_text(doc)
+        code, out, _ = run(capsys, "check1d", str(path), "2", "8")
+        assert code == 0
+        assert out.splitlines()[1] == f"witness {-(2**63) - 2}"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check1d", str(tmp_path / "nope.set"), "1", "2")
         assert code == 64
@@ -357,6 +373,37 @@ class TestGenCommand:
         assert code == 64
         assert out == ""
         assert err.startswith("error: ") and "allocate" in err
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("9223372036854775807", "9223372036854775817"),
+            # a window may end at 2**63 - 1 but not at 2**63, as in load
+            ("9223372036854775805", "9223372036854775808"),
+        ],
+    )
+    def test_window_outside_int64_is_usage_error(self, capsys, monkeypatch, window):
+        monkeypatch.setattr(
+            "sys.argv",
+            ["syndetic", "gen", "ps-striped", "--window", *window, "--block", "5",
+             "--gap", "2"],
+        )
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        out, err = capsys.readouterr()
+        assert exc.value.code == 64
+        assert out == ""
+        assert err == f"error: window [{window[0]}, {window[1]}) leaves the int64 range\n"
+
+    def test_window_ending_at_int64_max_round_trips(self, tmp_path, capsys):
+        outp = str(tmp_path / "top.set")
+        code, _, _ = run(
+            capsys, "gen", "ps-striped", "--window", str(2**63 - 11), str(2**63 - 1),
+            "--block", "5", "--gap", "2", "--out", outp,
+        )
+        assert code == 0
+        s = load_window1d(Path(outp).read_text())
+        assert s == striped_set((2**63 - 11, 2**63 - 1), 5, 2)
 
     def test_unknown_kind_rejected_by_parser(self, capsys):
         code, _, _ = run(capsys, "gen", "mystery", "--window", "0", "20")

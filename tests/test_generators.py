@@ -7,7 +7,13 @@ from syndetic.generators import (
     striped_set,
     thick_blocks_set,
 )
-from syndetic.windows import Scale, is_ps_at_scale, max_run_length, ps_scale_1d
+from syndetic.windows import (
+    Scale,
+    WindowError,
+    is_ps_at_scale,
+    max_run_length,
+    ps_scale_1d,
+)
 
 
 def test_periodic_evens():
@@ -90,3 +96,55 @@ def test_invalid_params_rejected(kind, params):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown generator kind"):
         gen_example("mystery", {"window": (0, 10)}, 0)
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("ps-striped", {"block": 5, "gap": 2}),
+        ("periodic", {"period": 3, "residues": [0]}),
+        ("thick-blocks", {"block": 1, "gap": 1}),
+        ("random-sparse", {"density": 0.5}),
+    ],
+)
+@pytest.mark.parametrize(
+    "window",
+    [
+        (INT64_MAX, INT64_MAX + 10),
+        # hi itself must be an int64 value, as in a set document
+        (INT64_MAX - 2, INT64_MAX + 1),
+        (-(2**63) - 1, -(2**63) + 5),
+        # refused before anything of the window's width is allocated
+        (2**63, 2**63 + 10**18),
+    ],
+)
+def test_window_outside_int64_rejected(kind, params, window):
+    with pytest.raises(ValueError, match="leaves the int64 range"):
+        gen_example(kind, {"window": window, **params}, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: striped_set(w, 5, 2),
+    lambda w: periodic_set(w, 3, [0]),
+    lambda w: thick_blocks_set(w, 1, 1),
+    lambda w: random_sparse_set(w, 0.5, 0),
+])
+def test_direct_call_outside_int64_is_a_window_error(make):
+    with pytest.raises(WindowError, match="leaves the int64 range"):
+        make((2**63, 2**63 + 3))
+
+
+@pytest.mark.parametrize("lo", [-(2**63), -7, 0, 5, INT64_MAX - 40])
+def test_structured_sets_at_the_int64_ends(lo):
+    # residues and stripes count from the window's own integers, wherever
+    # the window lies
+    w = (lo, lo + 40)
+    assert periodic_set(w, 3, [1]).members().tolist() == [
+        m for m in range(*w) if m % 3 == 1
+    ]
+    assert striped_set(w, 5, 3).members().tolist() == [
+        m for m in range(*w) if (m - lo) % 7 < 5
+    ]

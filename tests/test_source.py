@@ -59,6 +59,35 @@ def test_only_textio_formats_writer_rows():
     assert writers == set()
 
 
+def test_only_windows_lays_out_2d_masks():
+    # 2D masks are stored step-major, and windows.box_mask allocates them;
+    # outside windows no call names a memory order, no numpy allocation of
+    # a 2D shape is boolean and no mask is copied with .copy(), whose
+    # default order is row-major
+    allocators = {"zeros", "ones", "empty", "full"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "windows.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = getattr(node.func, "attr", None)
+            keywords = {k.arg: k.value for k in node.keywords}
+            shape = node.args[0] if node.args else None
+            dtype = keywords.get("dtype", node.args[1] if len(node.args) > 1 else None)
+            two_d = (
+                isinstance(shape, ast.Tuple) and len(shape.elts) > 1
+            ) or getattr(shape, "attr", None) == "shape"
+            if (
+                "order" in keywords
+                or (func in allocators and two_d and getattr(dtype, "id", None) == "bool")
+                or (func == "copy" and getattr(node.func.value, "attr", None) == "mask")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _caller_nodes() -> list[ast.AST]:
     """Every node of the code outside the tests that uses the library: the
     package itself bar the re-exports of ``__init__``, the demos and the

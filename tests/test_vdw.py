@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import naive
+from syndetic import vdw
 from syndetic.vdw import (
     APIndex,
     Coloring,
@@ -136,7 +138,7 @@ class TestVdwNumber:
 class TestRestrictedGrowth:
     @pytest.mark.parametrize(
         "colors, terms",
-        [(1, t) for t in range(1, 7)] + [(c, 2) for c in range(2, 7)] + [(2, 3)],
+        [(1, t) for t in range(1, 9)] + [(c, 2) for c in range(2, 7)] + [(2, 3)],
     )
     def test_matches_search_over_every_relabelling(self, colors, terms):
         res = vdw_number(colors, terms)
@@ -159,6 +161,34 @@ class TestRestrictedGrowth:
         assert values[0] == 1
         for i in range(1, len(values)):
             assert values[i] <= 1 + max(values[:i])
+
+
+class TestOneColor:
+    """W(1, t) = t is answered without a search, as the search would."""
+
+    @given(st.integers(1, 60), st.integers(1, 70))
+    def test_budget_semantics(self, terms, budget):
+        vdw._EXHAUSTIVE_CACHE.pop((1, terms), None)
+        res = vdw_number(1, terms, budget)
+        if budget >= terms:
+            want = (terms, (1,) * (terms - 1), True, terms)
+        else:
+            want = (budget + 1, (1,) * budget, False, budget)
+        assert (res.n, res.extremal.values, res.exhaustive, res.budget_spent) == want
+        assert find_mono_ap(res.extremal, terms) is None
+
+    def test_cached_result_needs_the_budget_it_cost(self):
+        vdw._EXHAUSTIVE_CACHE.pop((1, 10), None)
+        assert vdw_number(1, 10, 20).exhaustive
+        assert not vdw_number(1, 10, 9).exhaustive
+        assert vdw_number(1, 10, 10).exhaustive
+
+    def test_a_million_terms_needs_no_search(self):
+        # a search costs O(terms**2) here: hours at a million terms
+        t0 = time.perf_counter()
+        res = vdw_number(1, 10**6)
+        assert time.perf_counter() - t0 < 2.0
+        assert (res.n, res.extremal.n, res.exhaustive) == (10**6, 10**6 - 1, True)
 
 
 class TestVdwSpan:

@@ -13,6 +13,7 @@ from syndetic.windows import (
     WindowSet1D,
     WindowSet2D,
     contains_interval,
+    first_member,
     is_ps_at_scale,
     max_run_length,
     progressions_in,
@@ -20,6 +21,17 @@ from syndetic.windows import (
     ps_scale_2d,
     shifted_union_1d,
     shifted_union_2d,
+)
+from syndetic.certificate import parse, serialize, set_digest
+from syndetic.generators import striped_set
+from syndetic.pipeline import (
+    AffineMap2D,
+    APPair,
+    affine_image,
+    color_classes,
+    fg_construct,
+    find_nontrivial_ap,
+    partition_extract,
 )
 from syndetic.textio import dump_window1d
 
@@ -80,6 +92,31 @@ class TestWindowSet1D:
         assert a == b
         assert a.members().tolist() == [-2, 0]
         assert a.count == 2
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(2**63, 2**63 + 3), (2**63 - 3, 2**63), (-(2**63) - 1, -(2**63) + 2)],
+    )
+    def test_window_outside_int64_has_no_document(self, lo, hi):
+        # a set may reach past int64, as the shifted union of a set at
+        # -2**63 does, but it has no set document and so no digest
+        s = WindowSet1D(lo, hi, np.ones(hi - lo, dtype=bool))
+        with pytest.raises(WindowError, match="leaves the int64 range"):
+            dump_window1d(s)
+        with pytest.raises(WindowError, match="leaves the int64 range"):
+            set_digest(s)
+
+    def test_set_at_int64_min_keeps_its_answers(self):
+        # the shifted union reaches below -2**63; each predicate built on
+        # it answers as for any other window
+        s = striped_set((INT64_MIN, INT64_MIN + 300), 5, 2)
+        u = shifted_union_1d(s, 2)
+        assert (u.lo, u.hi, u.count) == (INT64_MIN - 2, INT64_MIN + 299, 300)
+        assert is_ps_at_scale(s, Scale(2, 50)).start == INT64_MIN - 2
+        assert ps_scale_1d(s, 2) == 300
+        assert find_nontrivial_ap(s, 2, 2) == APPair(INT64_MIN, 1)
+        w = partition_extract(s, [s], 2)
+        assert (w.index, w.scale, w.start) == (0, Scale(8, 306), INT64_MIN - 8)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -471,3 +508,61 @@ class TestSquareErosion:
             m = WindowSet2D(-5, wx - 5, 7, wy + 7, mask)
             # the shifted union at radius 1 is the set moved by (-1, -1)
             assert ps_scale_2d(m, 1) == side
+
+
+# bool masks of 1 to 12 starts by 1 to 6 steps, empty ones included
+masks_2d = st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda cells: np.array(cells, dtype=bool).reshape(shape))
+)
+
+
+class TestStepMajorLayout:
+    """2D masks are indexed [x, y] and stored step-major (Fortran order)."""
+
+    @pytest.fixture(scope="class")
+    def striped(self):
+        s = striped_set((0, 300), 5, 2)
+        return s, fg_construct(s, 2, 2)
+
+    def test_producers_allocate_step_major(self, striped):
+        s, cert = striped
+        box = cert.pair_box
+        pairs = progressions_in(s, box, range(cert.span + 1))
+        assert pairs.flags.f_contiguous and pairs.shape[1] > 1
+        m = WindowSet2D(*box, pairs)
+        masks = [m.mask, shifted_union_2d(m, 3).mask]
+        classes = color_classes(s, m, radius=2, span=cert.span, steps=2)
+        masks += [c.mask for c in classes.values()]
+        amap = AffineMap2D(shear=cert.offset, shift=cert.shift, scale=cert.stride)
+        masks.append(affine_image(next(iter(classes.values())), amap).mask)
+        masks.append(parse(serialize(cert)).ap_pairs.mask)
+        for mask in masks:
+            assert mask.flags.f_contiguous
+
+    @given(masks_2d, st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4))
+    def test_row_major_twin_is_the_same_set(self, mask, x_lo, y_lo, radius):
+        box = (x_lo, x_lo + mask.shape[0], y_lo, y_lo + mask.shape[1])
+        c = WindowSet2D(*box, np.ascontiguousarray(mask))
+        f = WindowSet2D(*box, np.asfortranarray(mask))
+        assert c.mask.flags.f_contiguous
+        assert c == f and hash(c) == hash(f)
+        assert c.points().tolist() == f.points().tolist()
+        assert c.count == f.count == int(mask.sum())
+        assert ps_scale_2d(c, radius) == ps_scale_2d(f, radius)
+
+    @given(masks_2d, st.integers(-5, 5), st.integers(-5, 5))
+    def test_first_member_is_the_first_in_row_major_order(self, mask, x_lo, y_lo):
+        box = (x_lo, x_lo + mask.shape[0], y_lo, y_lo + mask.shape[1])
+        want = next(
+            (
+                (x_lo + i, y_lo + j)
+                for i in range(mask.shape[0])
+                for j in range(mask.shape[1])
+                if mask[i, j]
+            ),
+            None,
+        )
+        assert first_member(box, np.ascontiguousarray(mask)) == want
+        assert first_member(box, np.asfortranarray(mask)) == want
