@@ -374,14 +374,20 @@ def verify_fg(
         )
 
     if cert.span_exhaustive:
-        res = None
+        n = None
         if not _vdw_beyond(cert.radius, cert.steps, vdw_budget):
-            res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
-        if res is not None and res.exhaustive:
-            if res.n - 1 != cert.span:
+            # W(1, k + 1) = k + 1, with no coloring of k positions built; a
+            # budget below 1 still goes to vdw_number, which refuses it
+            if cert.radius == 1 and vdw_budget >= 1:
+                n = cert.steps + 1
+            else:
+                res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
+                n = res.n if res.exhaustive else None
+        if n is not None:
+            if n - 1 != cert.span:
                 return _fail(
                     "vdw_witness",
-                    f"claimed span {cert.span}, recomputed {res.n - 1}",
+                    f"claimed span {cert.span}, recomputed {n - 1}",
                     notes,
                 )
         else:

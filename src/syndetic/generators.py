@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .windows import WindowError, WindowSet1D, check_window
+from .windows import WindowSet1D, check_window
 
 __all__ = [
     "KINDS",

@@ -35,6 +35,7 @@ from .windows import (
     WindowSet2D,
     box_mask,
     contains_interval,
+    feasible_rows,
     first_member,
     is_ps_at_scale,
     max_run_length,
@@ -167,13 +168,7 @@ def progression_pairs(
         raise ValueError(f"span must be >= 1, got {span}")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
     u = shifted_union_1d(s, radius)
-    # probes are linear in i, so all of them land in the window exactly
-    # when the first (i = 0) and the last (i = span) do: per step row, an
-    # interval of starts
-    spread = span * np.arange(y_lo, y_hi, dtype=np.int64)
-    lo_start = np.maximum(x_lo, u.lo - np.minimum(spread, 0))
-    hi_start = np.minimum(x_hi, u.hi - np.maximum(spread, 0))
-    feasible = int(np.maximum(hi_start - lo_start, 0).sum())
+    feasible = sum(b - a for _, a, b in feasible_rows(u, box, range(span + 1), 0))
     if not feasible:
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "

@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .vdw import Coloring, VdwResult
-from .windows import WindowSet1D, check_window, fits_int64, run_edges
+from .windows import WindowError, WindowSet1D, check_window, run_edges
 
 __all__ = [
     "SetFormatError",
@@ -257,12 +257,11 @@ def dump_window1d(s: WindowSet1D) -> str:
 
 def load_window1d(text: str) -> WindowSet1D:
     lines = Lines(text, SetFormatError, "run", 2, None)
-    lo, hi = lines.keyed_ints("window1d", 2)
+    try:
+        lo, hi = check_window(*lines.keyed_ints("window1d", 2))
+    except WindowError as exc:
+        raise SetFormatError(lines.lastline, str(exc)) from None
     window = f"window [{lo}, {hi})"
-    if lo >= hi:
-        raise SetFormatError(lines.lastline, f"{window} is empty")
-    if not fits_int64(lo, hi):
-        raise SetFormatError(lines.lastline, f"{window} leaves the int64 range")
     too_wide = SetFormatError(lines.lastline, f"{window} is too wide to allocate")
     # per cell, the number of runs that start there less the number that
     # end there, so that runs may overlap or come in any order

@@ -13,13 +13,17 @@ contiguous.  The pipeline's boxes are thousands of starts wide and at most
 time, not at most 33.  ``box_mask`` allocates every 2D mask the package
 builds; ``WindowSet2D`` copies any other mask into that order.
 
+One doubling dilation builds the shifted union in Z and in Z^2 alike:
+the union of shifts by 1..r marks where a side-r interval or square meets
+the set.
+
 Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
 window raises :class:`WindowError`.  The one vectorized probe,
 ``progressions_in`` over a box of starts and steps, counts a term outside
-the window as absent: rows and starts with a term that must leave the
-window are absent without being probed.  The pipeline's scans and the
-verifier's recounts near a boundary are then conservative, never
-optimistic.
+the window as absent: ``feasible_rows``, the one clip of a box to the
+starts whose terms all land, leaves the rest absent unprobed.  The
+pipeline's scans and the verifier's recounts near a boundary are then
+conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -43,6 +47,7 @@ __all__ = [
     "check_window",
     "fits_int64",
     "progressions_in",
+    "feasible_rows",
     "first_member",
     "run_edges",
     "contains_interval",
@@ -114,8 +119,8 @@ def check_window(lo, hi) -> tuple[int, int]:
 
 
 def box_mask(shape) -> np.ndarray:
-    """An empty 2D mask in the step-major layout every ``WindowSet2D``
-    keeps; every 2D mask the package builds starts here."""
+    """An empty mask in the step-major layout every ``WindowSet2D`` keeps
+    (moot in 1D); every 2D mask the package builds starts here."""
     return np.zeros(shape, dtype=bool, order="F")
 
 
@@ -268,28 +273,17 @@ def progressions_in(s: WindowSet1D, box, coefs: range, shift: int = 0) -> np.nda
     return out
 
 
-def _probe(s: WindowSet1D, box, coefs: range, shift: int):
-    """The progressions_in mask on the least block (x, y, mask) of the box
-    that holds every row and start whose terms can all land in the window,
-    or None if there is none; the rest of the box is absent unprobed.
-
-    For a fixed step y and coefficient c, the terms over consecutive
-    starts are one contiguous slice of the mask, so each coefficient ANDs
-    one strided view of a padded copy: O(block area) per term, with no
-    index array.  The padding is below the block's width on each side.
-    """
+def feasible_rows(s: WindowSet1D, box, coefs: range, shift: int) -> list:
+    """(y, a, b) per step row y of the box that keeps a start: a <= x < b
+    are the starts whose terms x + shift + c*y, c in the nonempty range
+    coefs, all land in s's window.  In Python ints, so exact at any bound."""
     if not coefs:
         raise ValueError("coefs is empty")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
     shift = int(shift)
-    w = s.width
-    # Distinct coefficients spread a nonzero step's terms by at least |y|
-    # each, so width + 1 of them cannot all land in the window; a zero
-    # step repeats its first term.  The cap is exact.
-    coefs = coefs[: w + 1]
     c0, c1 = sorted((coefs[0], coefs[-1]))
     if c1 > c0:
-        reach = (w - 1) // (c1 - c0)
+        reach = (s.width - 1) // (c1 - c0)
         y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
     # per row, the starts whose least and greatest terms land; a row's
     # lower end is convex in y and its upper end concave, so the rows
@@ -300,14 +294,31 @@ def _probe(s: WindowSet1D, box, coefs: range, shift: int):
         b = min(x_hi, s.hi - shift - max(c0 * y, c1 * y))
         if a < b:
             rows.append((y, a, b))
+    return rows
+
+
+def _probe(s: WindowSet1D, box, coefs: range, shift: int):
+    """The progressions_in mask on the least block (x, y, mask) of the box
+    that holds every feasible row, or None if there is none; the rest of
+    the box is absent unprobed.
+
+    For a fixed step y and coefficient c, the terms over consecutive
+    starts are one contiguous slice of the mask, so each coefficient ANDs
+    one strided view of a padded copy: O(block area) per term, with no
+    index array.  The padding is below the block's width on each side.
+    """
+    rows = feasible_rows(s, box, coefs, shift)
     if not rows:
         return None
+    shift = int(shift)
+    w = s.width
     ya, yb = rows[0][0], rows[-1][0] + 1
     xa, xb = min(r[1] for r in rows), max(r[2] for r in rows)
     nx, ny = xb - xa, yb - ya
     # row y of coefficient c reads nx cells from xa + shift + c*y - lo on;
     # every row holds a start whose terms land, so that lies in (-nx, w)
-    first = [xa + shift + c * y - s.lo for c in (c0, c1) for y in (ya, yb - 1)]
+    ends = (coefs[0], coefs[-1])
+    first = [xa + shift + c * y - s.lo for c in ends for y in (ya, yb - 1)]
     left, right = max(0, -min(first)), max(0, max(first) + nx - w)
     cells = s.mask
     if left or right:
@@ -315,7 +326,10 @@ def _probe(s: WindowSet1D, box, coefs: range, shift: int):
         cells[left : left + w] = s.mask
     view = sliding_window_view(cells, nx)
     ok = np.ones((ny, nx), dtype=bool)
-    for c in coefs:
+    # Distinct coefficients spread a nonzero step's terms by at least |y|
+    # each, so width + 1 of them cannot all land in the window; a zero
+    # step repeats its first term.  The cap is exact.
+    for c in coefs[: w + 1]:
         j = left + xa + shift + c * ya - s.lo
         ok &= view[j] if c == 0 else view[j::c][:ny]
     return xa, ya, ok.T
@@ -374,18 +388,8 @@ def shifted_union_1d(s: WindowSet1D, radius: int) -> WindowSet1D:
 
     m is a member iff m+t is a member of s for some t in 1..radius.
     """
-    radius = _as_int("radius", radius)
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    w = s.width
-    out_lo = s.lo - radius
-    out_hi = s.hi - 1
-    out = np.zeros(out_hi - out_lo, dtype=bool)
-    # out index j holds m = out_lo + j; probe m + t sits at mask index j - radius + t
-    for t in range(1, radius + 1):
-        shift = radius - t
-        out[shift : shift + w] |= s.mask
-    return WindowSet1D(out_lo, out_hi, out)
+    sq = _union_of_shifts(s.mask, radius)
+    return WindowSet1D(s.lo - int(radius), s.hi - 1, sq)
 
 
 def is_ps_at_scale(s: WindowSet1D, scale: Scale) -> PSWitness1D | None:
@@ -415,40 +419,45 @@ def shifted_union_2d(m: WindowSet2D, radius: int) -> WindowSet2D:
 
     (x, y) is a member iff (x+t1, y+t2) is a member of m for some shift
     pair; the result box is [x_lo-radius, x_hi-1) x [y_lo-radius, y_hi-1).
-
-    So (x, y) is a member iff the side-radius square at (x+1, y+1) meets
-    m.  With m padded by radius-1 empty cells on each side, the corners of
-    side-1 squares that meet m are its own members; each OR step (the
-    mirror of the erosion in ``ps_scale_2d``) grows the side by an offset
-    no larger than the side so far, doubling up to radius.  That costs
-    O(area * log radius).
     """
+    sq, r = _union_of_shifts(m.mask, radius), int(radius)
+    return WindowSet2D(m.x_lo - r, m.x_hi - 1, m.y_lo - r, m.y_hi - 1, sq)
+
+
+def _union_of_shifts(mask: np.ndarray, radius: int) -> np.ndarray:
+    """The shifted union's mask, 1D or 2D: cell i marks whether the
+    side-radius cube at i + 1 meets the mask, on radius - 1 more cells per
+    axis, from radius cells below.  With the mask padded by radius - 1
+    empty cells on each side, the corners of side-1 cubes that meet it are
+    its own members; each OR step (the mirror of the erosion in
+    ``ps_scale_2d``) grows the side by at most the side so far, doubling
+    up to radius, in O(size * log radius)."""
     radius = _as_int("radius", radius)
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     pad = radius - 1
-    wx = m.x_hi - m.x_lo
-    wy = m.y_hi - m.y_lo
-    sq = box_mask((wx + 2 * pad, wy + 2 * pad))
-    sq[pad : pad + wx, pad : pad + wy] = m.mask
+    sq = box_mask([n + 2 * pad for n in mask.shape])
+    sq[tuple([slice(pad, pad + n) for n in mask.shape])] = mask
     side = 1
     while side < radius:
         step = min(side, radius - side)
         sq, side = _square_by(np.logical_or, sq, step), side + step
-    return WindowSet2D(m.x_lo - radius, m.x_hi - 1, m.y_lo - radius, m.y_hi - 1, sq)
+    return sq
 
 
 def _square_by(op, sq: np.ndarray, b: int) -> np.ndarray:
-    """Cell (i, j) combined by op with (i+b, j), (i, j+b) and (i+b, j+b),
-    on an array b cells shorter on each axis.  If sq marks the corners of
-    side-a squares and b <= a, those four side-a squares tile a side-(a+b)
-    square.  So with logical_and, corners of full side-a squares become
-    corners of full side-(a+b) squares (erosion); with logical_or, corners
-    of side-a squares that meet a set become those of side-(a+b) squares
-    that meet it (dilation).  An offset past the edge of sq leaves an
-    empty array."""
-    rows = op(sq[:-b], sq[b:])
-    return op(rows[:, :-b], rows[:, b:])
+    """Cell i of a 1D or 2D array combined by op with every cell i + b*e,
+    e in {0, 1}^ndim, on an array b cells shorter on each axis.  If sq
+    marks the corners of side-a cubes and b <= a, those cubes tile a
+    side-(a+b) cube.  So with logical_and, corners of full side-a cubes
+    become corners of full side-(a+b) cubes (erosion); with logical_or,
+    corners of side-a cubes that meet a set become those of side-(a+b)
+    cubes that meet it (dilation).  An offset past the edge of sq leaves
+    an empty array."""
+    sq = op(sq[:-b], sq[b:])
+    if sq.ndim == 2:
+        sq = op(sq[:, :-b], sq[:, b:])
+    return sq
 
 
 def ps_scale_2d(m: WindowSet2D, radius: int) -> int:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from syndetic.certificate import (
     CertificateParseError,
     DigestMismatchError,
     FgCertificate,
+    Verdict,
     parse,
     serialize,
     set_digest,
@@ -267,6 +269,33 @@ class TestVerify:
                         res = vdw_number(colors, steps + 1, budget)
                         assert not res.exhaustive, (colors, steps, budget)
         assert skipped == {1, 2}
+
+    def test_one_color_span_builds_no_coloring(self):
+        # W(1, k + 1) = k + 1 is read off, so a declared k costs no memory:
+        # the one-color certificate cut to its step-0 column, with k = span
+        s = striped_set((0, 200), 5, 2)
+        cert = fg_construct(s, 1, 1)
+        pairs = cert.ap_pairs
+        column = pairs.mask[:, -pairs.y_lo : 1 - pairs.y_lo]
+        x_lo, x_hi = cert.pair_box[:2]
+        members = shifted_union_1d(s, 1).members()
+        k = 10**6
+        cut = cert.with_field(
+            steps=k,
+            span=k,
+            ap_pairs=WindowSet2D(pairs.x_lo, pairs.x_hi, 0, 1, column),
+            pair_count=int(((members >= x_lo) & (members < x_hi)).sum()),
+            class_count=int(column.sum()),
+            length_out=0,
+        )
+        tracemalloc.start()
+        try:
+            verdict = verify_fg(cut, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == Verdict(passed=True)
+        assert peak < 2**20
 
     @given(
         st.integers(-20, 20),

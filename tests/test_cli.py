@@ -111,6 +111,21 @@ class TestConstructAndVerify:
         assert code == 0
         assert out.splitlines()[1] == "PASS"
 
+    def test_window_at_int64_min(self, tmp_path, capsys):
+        # the shifted union, and the pair box with it, start below -2**63
+        setp, certp = tmp_path / "low.set", tmp_path / "low.fgcert"
+        code, doc, _ = run(
+            capsys, "gen", "ps-striped", "--window", str(-(2**63)),
+            str(-(2**63) + 300), "--block", "5", "--gap", "2",
+        )
+        assert code == 0
+        setp.write_text(doc)
+        code, _, _ = run(capsys, "construct", str(setp), "2", "2", "--out", str(certp))
+        assert code == 0
+        code, out, _ = run(capsys, "verify", str(certp), str(setp))
+        assert code == 0
+        assert out.splitlines()[1] == "PASS"
+
     def test_full_window_input(self, tmp_path, capsys):
         setp = write_set(tmp_path, "f.set", WindowSet1D.from_members(0, 60, range(60)))
         code, out, _ = run(capsys, "construct", setp, "1", "1")

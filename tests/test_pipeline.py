@@ -467,6 +467,31 @@ class TestFgConstruct:
         )
 
 
+    @pytest.mark.parametrize("t", [-(2**63), -(2**63) + 1, 2**63 - 1 - 300])
+    @pytest.mark.parametrize("s, radius, steps", [
+        (striped_set((0, 300), 5, 2), 2, 2),
+        (periodic_set((0, 300), 5, [0, 2, 3]), 2, 2),
+        (striped_set((0, 300), 4, 3), 1, 3),
+    ])
+    def test_translation_moves_the_certificate(self, s, radius, steps, t):
+        # every construction stage commutes with moving the set by t, and
+        # the moved set's shifted union may start below -2**63
+        moved = WindowSet1D(s.lo + t, s.hi + t, s.mask)
+        cert = fg_construct(s, radius, steps)
+        x_lo, x_hi, y_lo, y_hi = cert.pair_box
+        m = cert.ap_pairs
+        want = cert.with_field(
+            lo=s.lo + t,
+            hi=s.hi + t,
+            digest=set_digest(moved),
+            pair_box=(x_lo + t, x_hi + t, y_lo, y_hi),
+            ap_pairs=WindowSet2D(m.x_lo + t, m.x_hi + t, m.y_lo, m.y_hi, m.mask),
+        )
+        got = fg_construct(moved, radius, steps)
+        assert got == want
+        assert verify_fg(got, moved).passed
+
+
 class TestFindNontrivialAP:
     def test_multiples_of_three(self):
         s = periodic_set((0, 100), 3, [0])

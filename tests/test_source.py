@@ -33,6 +33,25 @@ def test_only_textio_reads_line_documents():
     assert readers == {"textio.py"}
 
 
+def test_every_import_is_read():
+    # an import nothing reads is dead code; ``__init__`` imports to export
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [
+            f"{path.name}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (name := alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unread == []
+
+
 def _templates(tree: ast.Module):
     """Every string literal, and every f-string with ``{}`` for each of its
     replacement fields."""
