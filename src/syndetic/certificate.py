@@ -39,9 +39,11 @@ The input digest is sha256 over the canonical text serialization of the
 input set (header plus maximal runs), which binds the certificate to the
 set without embedding it twice.
 
-``parse`` reads the document through ``textio.Lines``, the one line reader,
-and states the ``pt`` rules once, as a check on the block's rows: inside
-the ``window2d`` box and strictly increasing.
+``serialize`` and ``parse`` both walk ``_LAYOUT``, the one statement of
+the key order and of each integer key's field and least value.  ``parse``
+reads the document through ``textio.Lines``, the one line reader, and
+states the ``pt`` rules once, as a check on the block's rows: inside the
+``window2d`` box and strictly increasing.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ from .textio import Lines, allocate, dump_rows, dump_window1d
 from .vdw import vdw_number
 from .windows import (
     Scale,
+    WindowError,
     WindowSet1D,
     WindowSet2D,
     box_mask,
+    check_window,
     first_member,
     fits_int64,
     is_ps_at_scale,
@@ -82,6 +86,34 @@ __all__ = [
 VERSION_TAG = "syndetic-0.1.0"
 
 HEADER = "fgcert v1"
+
+# The document after its header, in order: each section line and its keys.
+# An integer key is (key, field, floor): one integer that fills that
+# FgCertificate field and may not be less than floor.  The walks of
+# serialize and parse treat each other key by name.
+_LAYOUT = (
+    ("input", ("window1d", "digest")),
+    (
+        "params",
+        (("r", "radius", 1), ("k", "steps", 1), ("r2d", "radius_2d", 1), "version"),
+    ),
+    ("vdw", (("span", "span", 1), "exhaustive")),
+    (
+        "triple",
+        (("offset", "offset", 0), ("stride", "stride", 1), ("shift", "shift", 1)),
+    ),
+    ("mtilde", ("window2d",)),
+    (
+        "claims",
+        (
+            "pair_box",
+            ("pair_count", "pair_count", 0),
+            ("class_count", "class_count", 0),
+            ("scale_in", "length_in", 1),
+            ("scale_out", "length_out", 0),
+        ),
+    ),
+)
 
 
 class CertificateError(ValueError):
@@ -140,77 +172,83 @@ def set_digest(s: WindowSet1D) -> str:
 
 
 def serialize(cert: FgCertificate) -> str:
-    head = [
-        HEADER,
-        "input",
-        f"window1d {cert.lo} {cert.hi}",
-        f"digest sha256:{cert.digest}",
-        "params",
-        f"r {cert.radius}",
-        f"k {cert.steps}",
-        f"r2d {cert.radius_2d}",
-        f"version {cert.version}",
-        "vdw",
-        f"span {cert.span}",
-        f"exhaustive {int(cert.span_exhaustive)}",
-        "triple",
-        f"offset {cert.offset}",
-        f"stride {cert.stride}",
-        f"shift {cert.shift}",
-        "mtilde",
-        "window2d {} {} {} {}".format(*cert.ap_pairs.box),
-    ]
-    claims = [
-        "claims",
-        "pair_box {} {} {} {}".format(*cert.pair_box),
-        f"pair_count {cert.pair_count}",
-        f"class_count {cert.class_count}",
-        f"scale_in {cert.length_in}",
-        f"scale_out {cert.length_out}",
-    ]
-    pts = cert.ap_pairs.points()
-    pt_block = dump_rows("pt", pts[:, 0], pts[:, 1])
-    return "\n".join(head) + "\n" + pt_block + "\n".join(claims) + "\n"
+    named = {
+        "window1d": (cert.lo, cert.hi),
+        "digest": (f"sha256:{cert.digest}",),
+        "version": (cert.version,),
+        "exhaustive": (int(cert.span_exhaustive),),
+        "window2d": cert.ap_pairs.box,
+        "pair_box": cert.pair_box,
+    }
+    out = [f"{HEADER}\n"]
+    for section, keys in _LAYOUT:
+        out.append(f"{section}\n")
+        for key in keys:
+            if isinstance(key, tuple):
+                key, field, _ = key
+                values = (getattr(cert, field),)
+            else:
+                values = named[key]
+            out.append(" ".join(map(str, (key, *values))) + "\n")
+            if key == "window2d":
+                pts = cert.ap_pairs.points()
+                out.append(dump_rows("pt", pts[:, 0], pts[:, 1]))
+    return "".join(out)
 
 
 def parse(text: str) -> FgCertificate:
     """Exact inverse of serialize; rejects unknown keys, missing fields,
-    reordered fields, and malformed integers, naming the line."""
+    reordered fields, malformed integers and values out of range, naming
+    the line."""
     r = Lines(text, CertificateParseError, "pt", 2, "claims")
+
+    def fault(message: str) -> CertificateParseError:
+        return CertificateParseError(r.lastline, message)
+
     r.literal(HEADER)
-    r.literal("input")
-    lo, hi = r.keyed_ints("window1d", 2)
-    if lo >= hi:
-        raise CertificateParseError(r.lastline, f"window [{lo}, {hi}) is empty")
-    (digest_field,) = r.keyed("digest", 1)
-    if not digest_field.startswith("sha256:"):
-        raise CertificateParseError(r.lastline, "digest must start with sha256:")
-    digest = digest_field[len("sha256:"):]
-    if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
-        raise CertificateParseError(r.lastline, "digest is not 64 hex digits")
-    r.literal("params")
-    (radius,) = r.keyed_ints("r", 1)
-    (steps,) = r.keyed_ints("k", 1)
-    (radius_2d,) = r.keyed_ints("r2d", 1)
-    if radius < 1 or steps < 1 or radius_2d < 1:
-        raise CertificateParseError(r.lastline, "r, k, r2d must all be >= 1")
-    (version,) = r.keyed("version", 1)
-    r.literal("vdw")
-    (span,) = r.keyed_ints("span", 1)
-    if span < 1:
-        raise CertificateParseError(r.lastline, "span must be >= 1")
-    (exh,) = r.keyed_ints("exhaustive", 1)
-    if exh not in (0, 1):
-        raise CertificateParseError(r.lastline, "exhaustive must be 0 or 1")
-    r.literal("triple")
-    (offset,) = r.keyed_ints("offset", 1)
-    (stride,) = r.keyed_ints("stride", 1)
-    (shift,) = r.keyed_ints("shift", 1)
-    if offset < 0 or stride < 1 or shift < 1:
-        raise CertificateParseError(
-            r.lastline, "triple needs offset >= 0, stride >= 1, shift >= 1"
-        )
-    r.literal("mtilde")
+    fields = {}
+    for section, keys in _LAYOUT:
+        r.literal(section)
+        for key in keys:
+            if isinstance(key, tuple):
+                key, field, floor = key
+                (fields[field],) = r.keyed_ints(key, 1)
+                if fields[field] < floor:
+                    raise fault(f"{key} must be >= {floor}")
+            elif key == "window1d":
+                try:
+                    fields["lo"], fields["hi"] = check_window(*r.keyed_ints(key, 2))
+                except WindowError as exc:
+                    raise fault(str(exc)) from None
+            elif key == "digest":
+                (digest,) = r.keyed(key, 1)
+                if not digest.startswith("sha256:"):
+                    raise fault("digest must start with sha256:")
+                fields["digest"] = digest = digest[len("sha256:"):]
+                if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
+                    raise fault("digest is not 64 hex digits")
+            elif key == "version":
+                (fields["version"],) = r.keyed(key, 1)
+            elif key == "exhaustive":
+                (exh,) = r.keyed_ints(key, 1)
+                if exh not in (0, 1):
+                    raise fault("exhaustive must be 0 or 1")
+                fields["span_exhaustive"] = bool(exh)
+            elif key == "window2d":
+                fields["ap_pairs"] = _read_pairs(r)
+            else:
+                fields["pair_box"] = box = tuple(r.keyed_ints(key, 4))
+                if box[0] >= box[1] or box[2] >= box[3]:
+                    raise fault("pair_box is empty")
+    extra = r.peek()
+    if extra is not None:
+        raise CertificateParseError(extra[0], f"trailing content {extra[1]!r}")
+    return FgCertificate(**fields)
+
+
+def _read_pairs(r: Lines) -> WindowSet2D:
+    """The ``window2d`` box and the ``pt`` block after it: every pair inside
+    the box, strictly increasing."""
     bx = r.keyed_ints("window2d", 4)
     if bx[0] >= bx[1] or bx[2] >= bx[3]:
         raise CertificateParseError(r.lastline, "mtilde box is empty")
@@ -237,43 +275,7 @@ def parse(text: str) -> FgCertificate:
     rows = r.rows(check)
     mask = allocate(lambda: box_mask((bx[1] - bx[0], bx[3] - bx[2])), too_wide)
     mask[rows[:, 0] - bx[0], rows[:, 1] - bx[2]] = True
-    ap_pairs = WindowSet2D(*bx, mask)
-    pair_box = tuple(r.keyed_ints("pair_box", 4))
-    if pair_box[0] >= pair_box[1] or pair_box[2] >= pair_box[3]:
-        raise CertificateParseError(r.lastline, "pair_box is empty")
-    (pair_count,) = r.keyed_ints("pair_count", 1)
-    (class_count,) = r.keyed_ints("class_count", 1)
-    if pair_count < 0 or class_count < 0:
-        raise CertificateParseError(r.lastline, "counts must be >= 0")
-    (length_in,) = r.keyed_ints("scale_in", 1)
-    (length_out,) = r.keyed_ints("scale_out", 1)
-    if length_in < 1 or length_out < 0:
-        raise CertificateParseError(
-            r.lastline, "scale_in must be >= 1 and scale_out >= 0"
-        )
-    extra = r.peek()
-    if extra is not None:
-        raise CertificateParseError(extra[0], f"trailing content {extra[1]!r}")
-    return FgCertificate(
-        lo=lo,
-        hi=hi,
-        digest=digest,
-        radius=radius,
-        steps=steps,
-        radius_2d=radius_2d,
-        version=version,
-        span=span,
-        span_exhaustive=bool(exh),
-        offset=offset,
-        stride=stride,
-        shift=shift,
-        pair_box=pair_box,
-        pair_count=pair_count,
-        class_count=class_count,
-        ap_pairs=ap_pairs,
-        length_in=length_in,
-        length_out=length_out,
-    )
+    return WindowSet2D(*bx, mask)
 
 
 def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
@@ -304,18 +306,14 @@ def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) ->
     return sum(int(np.count_nonzero(ok)) for ok in probed)
 
 
-def _vdw_beyond(colors: int, steps: int, budget: int) -> bool:
-    """Whether an exhaustive search for W(colors, steps + 1) surely needs
-    more than ``budget`` nodes, told without running it.  Every coloring of
-    ``steps`` positions is progression-free, so the search spends at least
-    steps + 1 nodes with one color and 2**steps - 1 with more; a step count
-    past the budget's bit length exceeds the latter, and 2**steps is never
-    built.  A budget below 1 is left to ``vdw_number`` to refuse."""
-    if budget < 1:
-        return False
-    if colors == 1:
-        return steps + 1 > budget
-    return steps > budget.bit_length()
+def _vdw_beyond(steps: int, budget: int) -> bool:
+    """Whether an exhaustive search for W(colors, steps + 1), with two or
+    more colors, surely needs more than ``budget`` nodes, told without
+    running it.  Every coloring of ``steps`` positions is progression-free,
+    so the search spends at least 2**steps - 1 nodes; a step count past the
+    budget's bit length exceeds that, and 2**steps is never built.  A budget
+    below 1 is left to ``vdw_number`` to refuse."""
+    return budget >= 1 and steps > budget.bit_length()
 
 
 def verify_fg(
@@ -375,14 +373,13 @@ def verify_fg(
 
     if cert.span_exhaustive:
         n = None
-        if not _vdw_beyond(cert.radius, cert.steps, vdw_budget):
+        if cert.radius == 1 and vdw_budget >= 1:
             # W(1, k + 1) = k + 1, with no coloring of k positions built; a
             # budget below 1 still goes to vdw_number, which refuses it
-            if cert.radius == 1 and vdw_budget >= 1:
-                n = cert.steps + 1
-            else:
-                res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
-                n = res.n if res.exhaustive else None
+            n = cert.steps + 1
+        elif not _vdw_beyond(cert.steps, vdw_budget):
+            res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
+            n = res.n if res.exhaustive else None
         if n is not None:
             if n - 1 != cert.span:
                 return _fail(

@@ -219,10 +219,10 @@ class Lines:
     def rows(self, check) -> np.ndarray:
         """The block as an (n, width) int64 array: the placeholder's rows if
         it is next, else the ``key`` lines up to the ``stop`` line, which is
-        read too.  ``check(rows)`` gives the index and message of the first
-        row that breaks the document's rules, or None.  The line loop checks
-        the rows before a malformed line first, so the error names the first
-        bad line on both paths."""
+        left to the reader.  ``check(rows)`` gives the index and message of
+        the first row that breaks the document's rules, or None.  The line
+        loop checks the rows before a malformed line first, so the error
+        names the first bad line on both paths."""
         fault = None
         if self.pos < len(self.lines) and self.lines[self.pos][1] is _BLOCK:
             first = self.lines[self.pos][0]
@@ -244,8 +244,6 @@ class Lines:
             raise self.error(linenos[bad[0]], bad[1])
         if fault is not None:
             raise fault
-        if self.stop is not None:
-            self.literal(self.stop)
         return rows.astype(np.int64, copy=False)
 
 

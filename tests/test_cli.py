@@ -314,6 +314,36 @@ class TestConstructAndVerify:
         budget = DEFAULT_BUDGET
         assert f"note vdw recomputation exhausted {budget} nodes; span unchecked" in out
 
+    def test_verify_certificate_window_outside_int64_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        # the certificate's window follows the set header's rule
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "2", "2", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        at = lines.index("window1d 0 200")
+        lines[at] = f"window1d 0 {10**20}"
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(certp), setp)
+        assert code == 64
+        assert out == ""
+        assert err == (
+            f"error: line {at + 1}: window [0, {10**20}) leaves the int64 range\n"
+        )
+
+    def test_verify_one_color_needs_no_search_at_any_budget(self, tmp_path, capsys):
+        _, doc, _ = run(
+            capsys, "gen", "ps-striped", "--window", "0", "200", "--block", "5", "--gap", "2"
+        )
+        setp = tmp_path / "s.set"
+        setp.write_text(doc)
+        certp = str(tmp_path / "c.fgcert")
+        run(capsys, "construct", str(setp), "1", "1", "--out", certp)
+        code, out, _ = run(capsys, "verify", certp, str(setp), "--budget", "1")
+        assert code == 0
+        assert out.splitlines()[1:] == ["PASS"]
+
     def test_verify_radius_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         certp = tmp_path / "c.fgcert"
