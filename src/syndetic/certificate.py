@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .textio import Lines, allocate, dump_rows, dump_window1d
-from .vdw import vdw_number
+from .vdw import search_exceeds, vdw_number
 from .windows import (
     Scale,
     WindowError,
@@ -62,6 +62,7 @@ from .windows import (
     WindowSet2D,
     box_mask,
     check_window,
+    feasible_rows,
     first_member,
     fits_int64,
     is_ps_at_scale,
@@ -289,31 +290,17 @@ def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) ->
     """Brute recount of progression pairs over the box, straight from the
     definition: start + i*step must be a union member for i = 0..span.
 
-    Only the feasible part of the box is probed: a pair whose start (i = 0)
-    or last term (i = span) leaves the union's window counts as absent, so
-    starts lie in [u.lo, u.hi) and |step| <= (u.width - 1) // span.  The
-    work is bounded by the union, whatever box the certificate declares.
+    Only the box's feasible rows and starts are probed, so the work is
+    bounded by the union, whatever box the certificate declares.
     """
-    x_lo, x_hi, y_lo, y_hi = box
-    reach = (u.width - 1) // span
-    starts = (max(x_lo, u.lo), min(x_hi, u.hi))
-    if starts[0] >= starts[1]:
-        return 0
-    y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
+    rows = feasible_rows((u.lo, u.hi), box, range(span + 1), 0)
+    count = 0
     # a chunk of rows at a time, so memory stays linear in the union's width
-    chunks = ((*starts, y, min(y + _ROWS, y_hi)) for y in range(y_lo, y_hi, _ROWS))
-    probed = (progressions_in(u, c, range(span + 1)) for c in chunks)
-    return sum(int(np.count_nonzero(ok)) for ok in probed)
-
-
-def _vdw_beyond(steps: int, budget: int) -> bool:
-    """Whether an exhaustive search for W(colors, steps + 1), with two or
-    more colors, surely needs more than ``budget`` nodes, told without
-    running it.  Every coloring of ``steps`` positions is progression-free,
-    so the search spends at least 2**steps - 1 nodes; a step count past the
-    budget's bit length exceeds that, and 2**steps is never built.  A budget
-    below 1 is left to ``vdw_number`` to refuse."""
-    return budget >= 1 and steps > budget.bit_length()
+    for i in range(0, len(rows), _ROWS):
+        ys, a, b = zip(*rows[i : i + _ROWS])
+        ok = progressions_in(u, (min(a), max(b), ys[0], ys[-1] + 1), range(span + 1))
+        count += int(np.count_nonzero(ok))
+    return count
 
 
 def verify_fg(
@@ -377,7 +364,7 @@ def verify_fg(
             # W(1, k + 1) = k + 1, with no coloring of k positions built; a
             # budget below 1 still goes to vdw_number, which refuses it
             n = cert.steps + 1
-        elif not _vdw_beyond(cert.steps, vdw_budget):
+        elif not search_exceeds(cert.radius, cert.steps + 1, vdw_budget):
             res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
             n = res.n if res.exhaustive else None
         if n is not None:
@@ -424,17 +411,17 @@ def verify_fg(
             notes,
         )
     # on those columns, as preimage steps p, a pair (x, stride*p) pulls
-    # back to (x - offset*p - shift, p)
+    # back to (x - offset*p - shift, p), whose start is the one term c =
+    # -offset of the progression x - shift + c*p: it must land in bx[:2]
     cols = pairs.mask[:, first::every]
     p_lo = (y_lo + first) // cert.stride
     pre = (x_lo, x_hi, p_lo, p_lo + cols.shape[1])
     bx = cert.pair_box
     in_box = box_mask(cols.shape)
-    for j, p in enumerate(range(pre[2], pre[3])):
-        if bx[2] <= p < bx[3]:
-            move = cert.offset * p + cert.shift
-            a, b = (min(max(v + move, x_lo), x_hi) for v in bx[:2])
-            in_box[a - x_lo : b - x_lo, j] = True
+    ys = (max(p_lo, bx[2]), min(pre[3], bx[3]))
+    term = range(-cert.offset, 1 - cert.offset)
+    for p, a, b in feasible_rows(bx[:2], (x_lo, x_hi, *ys), term, -cert.shift):
+        in_box[a - x_lo : b - x_lo, p - p_lo] = True
     hit = first_member(pre, cols & ~in_box)
     if hit is not None:
         x, p = hit

@@ -26,7 +26,7 @@ from .vdw import (
     BudgetExhaustedError,
     Coloring,
     find_mono_ap,
-    vdw_number,
+    search_exceeds,
     vdw_span,
 )
 from .windows import (
@@ -168,7 +168,8 @@ def progression_pairs(
         raise ValueError(f"span must be >= 1, got {span}")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
     u = shifted_union_1d(s, radius)
-    feasible = sum(b - a for _, a, b in feasible_rows(u, box, range(span + 1), 0))
+    rows = feasible_rows((u.lo, u.hi), box, range(span + 1), 0)
+    feasible = sum(b - a for _, a, b in rows)
     if not feasible:
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "
@@ -291,6 +292,19 @@ def _auto_box(run_start: int, run_len: int, span: int) -> tuple[int, int, int, i
     return (run_start, run_start + width, -half, half + 1)
 
 
+def _forced_span(radius: int, steps: int, budget: int) -> int:
+    """W(radius, steps + 1) - 1 from an exhaustive search, which is not run
+    when it surely needs more than budget nodes."""
+    if not search_exceeds(radius, steps + 1, budget):
+        sw = vdw_span(radius, steps, budget)
+        if sw.exhaustive:
+            return sw.span
+    raise BudgetExhaustedError(
+        f"van der Waerden search for {radius} colors and {steps + 1} terms "
+        f"exhausted its budget of {budget} nodes"
+    )
+
+
 def fg_construct(
     s: WindowSet1D,
     radius: int,
@@ -315,21 +329,15 @@ def fg_construct(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
+    if radius_2d is not None and radius_2d < 1:
+        raise ValueError(f"radius_2d must be >= 1, got {radius_2d}")
     u = shifted_union_1d(s, radius)
     length_in = max_run_length(u)
     if length_in < min_length:
         raise ScalePreconditionError(radius, min_length, length_in)
-    sw = vdw_span(radius, steps, budget)
-    if not sw.exhaustive:
-        raise BudgetExhaustedError(
-            f"van der Waerden search for {radius} colors and {steps + 1} terms "
-            f"exhausted its budget of {budget} nodes"
-        )
-    span = sw.span
+    span = _forced_span(radius, steps, budget)
     if radius_2d is None:
         radius_2d = span
-    if radius_2d < 1:
-        raise ValueError(f"radius_2d must be >= 1, got {radius_2d}")
     box = _auto_box(contains_interval(u, length_in), length_in, span)
     ps = progression_pairs(s, radius, span, box)
     if ps.pairs.count == 0:
@@ -377,13 +385,7 @@ def find_nontrivial_ap(s: WindowSet1D, radius: int, steps: int) -> APPair:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    res = vdw_number(radius, steps + 1, DEFAULT_BUDGET)
-    if not res.exhaustive:
-        raise BudgetExhaustedError(
-            f"van der Waerden search for {radius} colors and {steps + 1} terms "
-            f"exhausted its budget of {DEFAULT_BUDGET} nodes"
-        )
-    need = res.n
+    need = _forced_span(radius, steps, DEFAULT_BUDGET) + 1
     u = shifted_union_1d(s, radius)
     run_start = contains_interval(u, need)
     if run_start is None:

@@ -34,6 +34,7 @@ __all__ = [
     "VdwResult",
     "SpanResult",
     "find_mono_ap",
+    "search_exceeds",
     "vdw_number",
     "vdw_span",
 ]
@@ -168,6 +169,15 @@ def _tails(terms: int, upto: int) -> list[tuple[int, ...]]:
             d += 1
         tails.append(tuple(ts))
     return tails
+
+
+def search_exceeds(colors: int, terms: int, budget: int) -> bool:
+    """Whether the search for W(colors, terms) surely spends more than
+    ``budget`` nodes; never with one color, which needs no search.  With
+    more, every two-color prefix of at most terms - 1 positions is free of
+    progressions, so a node: 2**(terms - 1) - 1 nodes, past budget once
+    terms - 1 passes its bit length.  A budget below 1 is left to vdw_number."""
+    return colors >= 2 and budget >= 1 and terms - 1 > budget.bit_length()
 
 
 def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResult:

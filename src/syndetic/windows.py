@@ -20,10 +20,10 @@ the set.
 Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
 window raises :class:`WindowError`.  The one vectorized probe,
 ``progressions_in`` over a box of starts and steps, counts a term outside
-the window as absent: ``feasible_rows``, the one clip of a box to the
-starts whose terms all land, leaves the rest absent unprobed.  The
-pipeline's scans and the verifier's recounts near a boundary are then
-conservative, never optimistic.
+the window as absent.  ``feasible_rows`` is the one clip of a box to the
+starts whose terms all land: the probe, ``progression_pairs``'s excluded
+count, and the verifier's recount and pair-box check all go through it.
+Scans and recounts near a boundary are then conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -273,25 +273,26 @@ def progressions_in(s: WindowSet1D, box, coefs: range, shift: int = 0) -> np.nda
     return out
 
 
-def feasible_rows(s: WindowSet1D, box, coefs: range, shift: int) -> list:
+def feasible_rows(window, box, coefs: range, shift: int) -> list:
     """(y, a, b) per step row y of the box that keeps a start: a <= x < b
     are the starts whose terms x + shift + c*y, c in the nonempty range
-    coefs, all land in s's window.  In Python ints, so exact at any bound."""
+    coefs, all land in the window [lo, hi).  In Python ints, so exact at
+    any bound."""
     if not coefs:
         raise ValueError("coefs is empty")
-    x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
+    lo, hi, x_lo, x_hi, y_lo, y_hi = (int(v) for v in (*window, *box))
     shift = int(shift)
     c0, c1 = sorted((coefs[0], coefs[-1]))
     if c1 > c0:
-        reach = (s.width - 1) // (c1 - c0)
+        reach = (hi - lo - 1) // (c1 - c0)
         y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
     # per row, the starts whose least and greatest terms land; a row's
     # lower end is convex in y and its upper end concave, so the rows
     # that keep a start form one interval
     rows = []
     for y in range(y_lo, y_hi):
-        a = max(x_lo, s.lo - shift - min(c0 * y, c1 * y))
-        b = min(x_hi, s.hi - shift - max(c0 * y, c1 * y))
+        a = max(x_lo, lo - shift - min(c0 * y, c1 * y))
+        b = min(x_hi, hi - shift - max(c0 * y, c1 * y))
         if a < b:
             rows.append((y, a, b))
     return rows
@@ -307,7 +308,7 @@ def _probe(s: WindowSet1D, box, coefs: range, shift: int):
     one strided view of a padded copy: O(block area) per term, with no
     index array.  The padding is below the block's width on each side.
     """
-    rows = feasible_rows(s, box, coefs, shift)
+    rows = feasible_rows((s.lo, s.hi), box, coefs, shift)
     if not rows:
         return None
     shift = int(shift)

@@ -17,11 +17,9 @@ from syndetic.certificate import (
     set_digest,
     verify_fg,
     _recount_pairs,
-    _vdw_beyond,
 )
 from syndetic.generators import periodic_set, striped_set
 from syndetic.pipeline import fg_construct
-from syndetic.vdw import vdw_number
 from syndetic.windows import WindowSet1D, WindowSet2D, shifted_union_1d
 
 DATA = Path(__file__).parent / "data"
@@ -352,18 +350,6 @@ class TestVerify:
         assert time.perf_counter() - t0 < 1.0
         assert verdict.failed_claim == claim
 
-    def test_vdw_search_skipped_only_past_the_budget(self):
-        # budgets on both sides of 2**k - 1; one color needs no search
-        skipped = set()
-        for colors in range(2, 4):
-            for steps in range(1, 7):
-                for budget in range(1, 2**steps + 2):
-                    if _vdw_beyond(steps, budget):
-                        skipped.add(min(colors, 2))
-                        res = vdw_number(colors, steps + 1, budget)
-                        assert not res.exhaustive, (colors, steps, budget)
-        assert skipped == {2}
-
     def test_one_color_span_builds_no_coloring(self):
         # W(1, k + 1) = k + 1 is read off, so a declared k costs no memory:
         # the one-color certificate cut to its step-0 column, with k = span
@@ -392,6 +378,7 @@ class TestVerify:
         assert peak < 2**20
 
     @given(
+        st.sampled_from([0, 20 - 2**63, 2**63 - 51]),
         st.integers(-20, 20),
         st.lists(st.booleans(), min_size=1, max_size=30),
         st.integers(1, 3),
@@ -399,10 +386,11 @@ class TestVerify:
         st.tuples(st.integers(-60, 60), st.integers(1, 60)),
         st.tuples(st.integers(-20, 20), st.integers(1, 40)),
     )
-    def test_recount_matches_naive(self, lo, bits, radius, span, xs, ys):
-        # boxes reach well past the union's window on every side
-        s = WindowSet1D(lo, lo + len(bits), bits)
-        box = (xs[0], xs[0] + xs[1], ys[0], ys[0] + ys[1])
+    def test_recount_matches_naive(self, base, lo, bits, radius, span, xs, ys):
+        # windows reach both ends of int64, and boxes reach well past the
+        # union's window on every side
+        s = WindowSet1D(base + lo, base + lo + len(bits), bits)
+        box = (base + xs[0], base + xs[0] + xs[1], ys[0], ys[0] + ys[1])
         members = set(s.members().tolist())
         hits, _ = naive.progression_pairs(members, s.lo, s.hi, radius, span, box)
         u = shifted_union_1d(s, radius)
@@ -508,6 +496,15 @@ class TestVerdictDetails:
                 )
             elif rng.random() < 0.5:
                 pair_box = (-1000, 1000, -100, 100)
+            elif rng.random() < 0.5:
+                # bounds past int64, around the pairs or clear of them
+                far = [-(2**63) - 5, 2**63 + 5, 2**64]
+                pair_box = [
+                    (far[0], far[1], far[0], far[1]),
+                    (far[1], far[2], y_lo, y_hi),
+                    (x_lo, x_hi, far[1], far[2]),
+                    (far[0], x_lo + 3, far[0], y_lo + 1),
+                ][rng.integers(0, 4)]
             bad = cert.with_field(
                 ap_pairs=WindowSet2D(*naive.points_in_box(*box, pts)),
                 pair_box=pair_box,

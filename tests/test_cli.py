@@ -179,6 +179,24 @@ class TestConstructAndVerify:
             assert code == 2
             assert "exhausted its budget" in err
 
+    def test_radius_2d_checked_before_the_search(self, tmp_path, capsys):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        argv = ("construct", setp, "2", "2", "--r2d", "0", "--budget", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err == "error: radius_2d must be >= 1, got 0\n"
+
+    def test_search_past_the_node_bound_exits_two_at_once(
+        self, tmp_path, capsys, no_search
+    ):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        code, out, err = run(capsys, "construct", setp, "2", "31")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: van der Waerden search for 2 colors and 32 terms "
+            f"exhausted its budget of {DEFAULT_BUDGET} nodes\n"
+        )
+
     def test_other_runtime_errors_are_not_budget_exhaustion(
         self, tmp_path, capsys, monkeypatch
     ):

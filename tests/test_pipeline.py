@@ -30,7 +30,7 @@ from syndetic.pipeline import (
     pigeonhole_extract,
     progression_pairs,
 )
-from syndetic.vdw import BudgetExhaustedError, vdw_span
+from syndetic.vdw import DEFAULT_BUDGET, BudgetExhaustedError, vdw_span
 from syndetic.windows import (
     WindowSet1D,
     WindowSet2D,
@@ -427,6 +427,22 @@ class TestFgConstruct:
         with pytest.raises(BudgetExhaustedError):
             fg_construct(s, 2, 2, budget=3)
 
+    def test_radius_2d_checked_before_the_search(self, no_search):
+        s = striped_set((0, 200), 5, 2)
+        for radius, steps, budget in [(3, 3, DEFAULT_BUDGET), (2, 2, 1)]:
+            with pytest.raises(ValueError, match="radius_2d must be >= 1, got 0"):
+                fg_construct(s, radius, steps, radius_2d=0, budget=budget)
+
+    @pytest.mark.parametrize("steps, budget", [(31, DEFAULT_BUDGET), (2, 1), (10**6, 5)])
+    def test_search_past_the_node_bound_fails_at_once(self, no_search, steps, budget):
+        s = striped_set((0, 200), 5, 2)
+        with pytest.raises(BudgetExhaustedError) as err:
+            fg_construct(s, 2, steps, budget=budget)
+        assert str(err.value) == (
+            f"van der Waerden search for 2 colors and {steps + 1} terms "
+            f"exhausted its budget of {budget} nodes"
+        )
+
     def test_explicit_box_respected(self):
         # fg_construct certifies its own box; another box is certified by
         # running the public stages on it
@@ -510,6 +526,15 @@ class TestFindNontrivialAP:
             assert pair.step != 0
             for i in range(3):
                 assert s.contains(pair.start + i * pair.step)
+
+    def test_search_past_the_node_bound_fails_at_once(self, no_search):
+        s = striped_set((0, 200), 5, 2)
+        with pytest.raises(BudgetExhaustedError) as err:
+            find_nontrivial_ap(s, 2, 31)
+        assert str(err.value) == (
+            "van der Waerden search for 2 colors and 32 terms "
+            f"exhausted its budget of {DEFAULT_BUDGET} nodes"
+        )
 
     def test_scale_precondition_names_required_length(self):
         s = periodic_set((0, 100), 3, [0])

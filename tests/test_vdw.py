@@ -12,6 +12,7 @@ from syndetic.vdw import (
     Coloring,
     MonoAP,
     find_mono_ap,
+    search_exceeds,
     vdw_number,
     vdw_span,
 )
@@ -121,6 +122,18 @@ class TestVdwNumber:
             vdw_number(0, 3)
         with pytest.raises(ValueError):
             vdw_number(2, 0)
+
+    def test_vdw_search_skipped_only_past_the_budget(self):
+        # budgets on both sides of 2**(terms - 1) - 1; one color needs no search
+        skipped = set()
+        for colors in range(1, 4):
+            for terms in range(2, 8):
+                for budget in range(1, 2 ** (terms - 1) + 2):
+                    if search_exceeds(colors, terms, budget):
+                        skipped.add(colors)
+                        res = vdw_number(colors, terms, budget)
+                        assert not res.exhaustive, (colors, terms, budget)
+        assert skipped == {2, 3}
 
     def test_monotone_in_colors_and_terms(self):
         known = {

@@ -13,6 +13,7 @@ from syndetic.windows import (
     WindowSet1D,
     WindowSet2D,
     contains_interval,
+    feasible_rows,
     first_member,
     is_ps_at_scale,
     max_run_length,
@@ -242,6 +243,47 @@ class TestProgressionsIn:
         x, y, ok = block
         assert ok.shape[0] < 2 * s.width and ok.shape[1] == box[3] - box[2]
         assert peak < s.width * (box[3] - box[2] + 3)
+
+
+@st.composite
+def clip_cases(draw):
+    """A window at either end of int64 or near 0, a shift of either sign,
+    a box of starts that may pass the feasible starts on every side, rows
+    past the reach on both sides, and coefficient ranges of either sign,
+    one coefficient among them."""
+    width = draw(st.integers(1, 20))
+    lo = draw(st.sampled_from([INT64_MIN, -10, INT64_MAX + 1 - width])) + draw(
+        st.integers(0, 5)
+    )
+    shift = draw(st.one_of(st.integers(-20, 20), st.sampled_from([INT64_MIN, INT64_MAX])))
+    x_lo = lo - shift + draw(st.integers(-40, 25))
+    y_lo = draw(st.integers(-12, 12))
+    box = (x_lo, x_lo + draw(st.integers(1, 30)), y_lo, y_lo + draw(st.integers(1, 12)))
+    first = draw(st.integers(-8, 8))
+    every = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    count = draw(st.one_of(st.just(1), st.integers(2, 6), st.integers(width, width + 3)))
+    return (lo, lo + width), box, range(first, first + every * count, every), shift
+
+
+class TestFeasibleRows:
+    @given(clip_cases())
+    def test_matches_per_cell_brute_force(self, case):
+        (lo, hi), (x_lo, x_hi, y_lo, y_hi), coefs, shift = case
+        want = []
+        for y in range(y_lo, y_hi):
+            xs = [
+                x
+                for x in range(x_lo, x_hi)
+                if all(lo <= x + shift + c * y < hi for c in coefs)
+            ]
+            if xs:
+                assert xs == list(range(xs[0], xs[-1] + 1))
+                want.append((y, xs[0], xs[-1] + 1))
+        got = feasible_rows((lo, hi), (x_lo, x_hi, y_lo, y_hi), coefs, shift)
+        assert got == want
+        assert all(a < b for _, a, b in got)
+        ys = [y for y, _, _ in got]
+        assert not ys or ys == list(range(ys[0], ys[-1] + 1))
 
 
 class TestContainsInterval:
