@@ -40,8 +40,6 @@ from .pipeline import (
 )
 from .textio import (
     SetFormatError,
-    dump_coloring,
-    dump_vdw_result,
     dump_window1d,
     load_window1d,
 )
@@ -53,6 +51,8 @@ from .vdw import (
     MonoAP,
     SpanResult,
     VdwResult,
+    dump_coloring,
+    dump_vdw_result,
     find_mono_ap,
     vdw_number,
     vdw_span,

@@ -18,8 +18,8 @@ import traceback
 from .certificate import DigestMismatchError, parse, serialize, verify_fg
 from .generators import KINDS, gen_example
 from .pipeline import ConstructionError, fg_construct
-from .textio import dump_vdw_result, dump_window1d, load_window1d
-from .vdw import DEFAULT_BUDGET, BudgetExhaustedError, vdw_number
+from .textio import dump_window1d, load_window1d
+from .vdw import DEFAULT_BUDGET, BudgetExhaustedError, dump_vdw_result, vdw_number
 from .windows import Scale, is_ps_at_scale
 
 EXIT_OK = 0

@@ -1,6 +1,6 @@
-"""Plain-text serialization of 1D window sets, colorings, and search
-results, and ``Lines``, the one reader of line documents: set documents
-here and certificates in ``certificate``.
+"""Plain-text serialization of 1D window sets, and ``Lines``, the one
+reader of line documents: set documents here and certificates in
+``certificate``.  The vdW result document is written by ``vdw``.
 
 All formats are line based with space-separated fields.  Lines starting
 with ``#`` and blank lines are ignored on input.  Writers emit a canonical
@@ -17,7 +17,6 @@ import re
 
 import numpy as np
 
-from .vdw import Coloring, VdwResult
 from .windows import WindowError, WindowSet1D, check_window, run_edges
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "dump_rows",
     "dump_window1d",
     "load_window1d",
-    "dump_coloring",
-    "dump_vdw_result",
 ]
 
 
@@ -281,19 +278,3 @@ def load_window1d(text: str) -> WindowSet1D:
     np.add.at(cover, runs[:, 1] - lo, np.int32(-1))
     np.cumsum(cover, out=cover)
     return WindowSet1D(lo, hi, cover[:-1] > 0)
-
-
-def dump_coloring(c: Coloring) -> str:
-    lines = [f"coloring {c.num_colors} {c.n}"]
-    if c.n:
-        lines.append(" ".join(str(v) for v in c.values))
-    return "\n".join(lines) + "\n"
-
-
-def dump_vdw_result(res: VdwResult) -> str:
-    head = (
-        f"n {res.n}\n"
-        f"exhaustive {int(res.exhaustive)}\n"
-        f"budget_spent {res.budget_spent}\n"
-    )
-    return head + dump_coloring(res.extremal)

@@ -550,3 +550,40 @@ def test_documents_are_pinned(tmp_path, monkeypatch, capsys, kind):
         for name in pinned
     }
     assert got == pinned
+
+
+# exit code and sha256 of stdout of ``syndetic vdw``, taken before the search
+# built its tail table per call: one color, one term, exhaustive searches,
+# and budget cut-offs shallow and deep (depth 1,291 at 1,500 nodes of W(2,21))
+PINNED_VDW_DOCUMENTS = {
+    "1 4": (0, "06114e367d4112959150f143e61a6accc1ddc7b8150ed3b46ae3dc012deaf98c"),
+    "1 1": (0, "457b9239494c55423f6c0783dc5963b4c3ebcc147ce9f5d5a591c872b54a0175"),
+    "3 1": (0, "4536499e933019e3144e905e8516922652c8bf0078230f35b899ec0036167ac3"),
+    "5 1": (0, "3bfda55316d5c19a80407a895a50039e76bc6377987f62aa1e6162065eefb661"),
+    "2 2": (0, "d04b1cad2b2672c1f45d916c82f1a31107c1491501b21d7641c0bc0a80a7cab6"),
+    "10 2": (0, "7bc4f28627be29b5496d22e37034aab028995fdca204eeb0f934e5841522b211"),
+    "2 3": (0, "5f2643348f0134c81b605232c31ccee304aa65500c09da55db352586e865bef7"),
+    "3 3": (0, "fb6735242ffe128657ca429f1d3555e797d3675837c6417ffcfa039a71c3c26f"),
+    "2 4": (0, "9ed30732de1bc3527d9cd390eb261a0b2e2f871c4763a62e9e93e88fcb645348"),
+    "3 4 --budget 10": (
+        2, "dd3087170e95c9475ec0e121ef5bdebf7d88914db0ca7700831beaac0d414b3f"
+    ),
+    "2 5 --budget 50000": (
+        2, "032eb71da565e3997726dca6331719269cb30bb91b18d8d08fb93f171ce6ce45"
+    ),
+    "2 6 --budget 30000": (
+        2, "9cb1b31d73f3567612b241e993511dbbd8e8afa4fba17fd31ca2eb9516c91659"
+    ),
+    "2 21 --budget 1500": (
+        2, "fea9b507f0ae081869772b94ab6221c6a7d127ae4e52909797b675673c5b844f"
+    ),
+    "4 3 --budget 100000": (
+        2, "d1d21b40de34788c7c9e954fdb3f16a543bb64c28e77c61a3261bf2dcf995bb9"
+    ),
+}
+
+
+@pytest.mark.parametrize("given", sorted(PINNED_VDW_DOCUMENTS))
+def test_vdw_documents_are_pinned(capsys, given):
+    code, out, _ = run(capsys, "vdw", *given.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VDW_DOCUMENTS[given]

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import syndetic
@@ -181,3 +182,31 @@ def test_every_option_is_set_by_a_caller_outside_the_tests():
         and not {(fn, param), (fn, None)} & keywords
     ]
     assert sorted(set(unset) - allowed) == []
+
+
+def test_vdw_keeps_no_state_but_its_exhaustive_cache():
+    # the search is pure Python and builds its tail table per call: vdw
+    # imports only the standard library, and besides constants and
+    # ``__all__`` it binds one module-level value, the memo of exhaustive
+    # results
+    tree = ast.parse((SRC / "vdw.py").read_text())
+    imported = [
+        (
+            getattr(node, "level", 0),
+            (getattr(node, "module", None) or alias.name).split(".")[0],
+        )
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert all(
+        level == 0 and name in sys.stdlib_module_names for level, name in imported
+    ), imported
+    state = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and not isinstance(node.value, ast.Constant)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+    assert state == {"__all__", "_EXHAUSTIVE_CACHE"}

@@ -5,13 +5,17 @@ from hypothesis import example, given, strategies as st
 import naive
 from syndetic.textio import (
     SetFormatError,
-    dump_coloring,
     dump_rows,
-    dump_vdw_result,
     dump_window1d,
     load_window1d,
 )
-from syndetic.vdw import Coloring, VdwResult, vdw_number
+from syndetic.vdw import (
+    Coloring,
+    VdwResult,
+    dump_coloring,
+    dump_vdw_result,
+    vdw_number,
+)
 from syndetic.windows import WindowSet1D
 
 sets_1d = st.builds(

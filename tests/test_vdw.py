@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,11 +152,17 @@ class TestVdwNumber:
 class TestRestrictedGrowth:
     @pytest.mark.parametrize(
         "colors, terms",
-        [(1, t) for t in range(1, 9)] + [(c, 2) for c in range(2, 7)] + [(2, 3)],
+        [(1, t) for t in range(1, 9)]
+        + [(c, 2) for c in range(2, 7)]
+        + [(2, 3)]
+        + [(c, 1) for c in range(2, 5)],
     )
     def test_matches_search_over_every_relabelling(self, colors, terms):
         res = vdw_number(colors, terms)
         assert (res.n, res.extremal.values) == naive.least_extremal(colors, terms)
+        if terms == 1:
+            # W(c, 1) = 1: the one node places color 1 and closes at once
+            assert res.budget_spent == 1
 
     def test_three_three_extremal_is_unchanged(self):
         res = vdw_number(3, 3)
@@ -174,6 +181,18 @@ class TestRestrictedGrowth:
         assert values[0] == 1
         for i in range(1, len(values)):
             assert values[i] <= 1 + max(values[:i])
+
+    def test_deep_search_memory_is_quadratic_in_depth(self):
+        # 2,000 nodes of W(2, 21) reach depth 1,706; a tail table with one
+        # mask of i bits per step at each depth i peaked at about 13 MB
+        tracemalloc.start()
+        try:
+            res = vdw_number(2, 21, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.n, res.exhaustive, res.budget_spent) == (1707, False, 2000)
+        assert peak < 2_000_000
 
 
 class TestOneColor:
