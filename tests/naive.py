@@ -190,3 +190,45 @@ def verified_triple(members: set[int], lo: int, hi: int, a: int, d: int,
                 if good:
                     return (offset, stride, shift)
     return None
+
+
+def vdw_search(colors: int, terms: int, budget: int):
+    """(deepest progression-free prefix found first, nodes, budget ran out)
+    of a restricted-growth walk that spends one node per attempted
+    placement and stops before the attempt that would pass the budget."""
+
+    def closes(seq: list[int]) -> bool:
+        i = len(seq) - 1
+        c = seq[i]
+        for step in range(1, i // (terms - 1) + 1):
+            j = 1
+            while j < terms and seq[i - j * step] == c:
+                j += 1
+            if j == terms:
+                return True
+        return False
+
+    seq: list[int] = []
+    tops = [0]  # tops[i]: the largest color in seq[:i]
+    best: list[int] = []
+    nodes = 0
+    color = 1  # the next color to try at position len(seq)
+    while True:
+        if color > min(colors, 1 + tops[-1]):
+            if not seq:
+                return best, nodes, False
+            tops.pop()
+            color = seq.pop() + 1
+            continue
+        if nodes >= budget:
+            return best, nodes, True
+        nodes += 1
+        seq.append(color)
+        if closes(seq):
+            seq.pop()
+            color += 1
+        else:
+            tops.append(max(tops[-1], color))
+            if len(seq) > len(best):
+                best = list(seq)
+            color = 1

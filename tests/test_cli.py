@@ -552,9 +552,11 @@ def test_documents_are_pinned(tmp_path, monkeypatch, capsys, kind):
     assert got == pinned
 
 
-# exit code and sha256 of stdout of ``syndetic vdw``, taken before the search
-# built its tail table per call: one color, one term, exhaustive searches,
-# and budget cut-offs shallow and deep (depth 1,291 at 1,500 nodes of W(2,21))
+# exit code and sha256 of stdout of ``syndetic vdw``: one color, one term,
+# exhaustive searches, and budget cut-offs shallow and deep (depths 1,291 and
+# 8,121 at 1,500 and 10,000 nodes of W(2,21)).  The 10,000-node document was
+# taken before the search checked nodes against forbidden-position masks, the
+# others before it built its tail table per call
 PINNED_VDW_DOCUMENTS = {
     "1 4": (0, "06114e367d4112959150f143e61a6accc1ddc7b8150ed3b46ae3dc012deaf98c"),
     "1 1": (0, "457b9239494c55423f6c0783dc5963b4c3ebcc147ce9f5d5a591c872b54a0175"),
@@ -576,6 +578,9 @@ PINNED_VDW_DOCUMENTS = {
     ),
     "2 21 --budget 1500": (
         2, "fea9b507f0ae081869772b94ab6221c6a7d127ae4e52909797b675673c5b844f"
+    ),
+    "2 21 --budget 10000": (
+        2, "35ed5321641273be2f005365ee77afd12c1223c6f530287020043a2832c01acd"
     ),
     "4 3 --budget 100000": (
         2, "d1d21b40de34788c7c9e954fdb3f16a543bb64c28e77c61a3261bf2dcf995bb9"

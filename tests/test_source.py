@@ -185,7 +185,7 @@ def test_every_option_is_set_by_a_caller_outside_the_tests():
 
 
 def test_vdw_keeps_no_state_but_its_exhaustive_cache():
-    # the search is pure Python and builds its tail table per call: vdw
+    # the search is pure Python and keeps its masks per call: vdw
     # imports only the standard library, and besides constants and
     # ``__all__`` it binds one module-level value, the memo of exhaustive
     # results

@@ -27,7 +27,7 @@ W33_EXTREMAL = (
 colorings = st.builds(
     lambda r, vals: Coloring(tuple(v % r + 1 for v in vals), r),
     st.integers(1, 4),
-    st.lists(st.integers(0, 3), max_size=14),
+    st.lists(st.integers(0, 3), max_size=200),
 )
 
 
@@ -61,6 +61,14 @@ class TestFindMonoAP:
         else:
             start, step, color = want
             assert (got.ap.start, got.ap.step, got.color) == (start, step, color)
+
+    def test_deep_extremal_check_is_fast(self):
+        # the 8,121 positions of a capped W(2, 21) search: a scan of every
+        # (step, start) pair took about 1.8 s on a 2-vCPU Xeon
+        coloring = vdw_number(2, 21, 10_000).extremal
+        t0 = time.perf_counter()
+        assert find_mono_ap(coloring, 21) is None
+        assert time.perf_counter() - t0 < 0.5
 
     def test_random_colorings_of_nine_always_hit(self):
         rng = np.random.default_rng(2024)
@@ -173,6 +181,11 @@ class TestRestrictedGrowth:
         assert vdw_number(3, 3).budget_spent == 337_640
         assert vdw_number(2, 4).budget_spent == 20_351
         assert vdw_number(10, 2).budget_spent <= 100
+
+    @given(st.integers(2, 4), st.integers(2, 7), st.integers(1, 5_000))
+    def test_search_matches_naive_walk(self, colors, terms, budget):
+        best, nodes, exhausted = vdw._search(colors, terms, budget)
+        assert (best, nodes, exhausted) == naive.vdw_search(colors, terms, budget)
 
     @given(st.integers(3, 4), st.integers(3, 4), st.integers(1, 20_000))
     def test_budget_limited_colorings_grow_by_one(self, colors, terms, budget):
