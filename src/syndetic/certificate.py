@@ -60,9 +60,10 @@ from .windows import (
     WindowError,
     WindowSet1D,
     WindowSet2D,
+    block_rows,
     box_mask,
     check_window,
-    feasible_rows,
+    feasible_block,
     first_member,
     fits_int64,
     is_ps_at_scale,
@@ -283,22 +284,30 @@ def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
     return Verdict(passed=False, failed_claim=claim, detail=detail, notes=tuple(notes))
 
 
-_ROWS = 8
+# The pair box of every certificate construct emits is within
+# pipeline._auto_box's 200,000-cell cap, so the recount probes it at once.
+_CHUNK_CELLS = 200_000
 
 
 def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) -> int:
     """Brute recount of progression pairs over the box, straight from the
     definition: start + i*step must be a union member for i = 0..span.
 
-    Only the box's feasible rows and starts are probed, so the work is
-    bounded by the union, whatever box the certificate declares.
+    Only the box's ``feasible_block`` is probed, so the work is bounded
+    by the union, whatever box the certificate declares, and the block's
+    cells are known before any probing.  It is probed in chunks of
+    max(8, 200,000 // block width) rows, so a probe holds at most 8 of
+    its rows or 200,000 cells, whichever is more.
     """
-    rows = feasible_rows((u.lo, u.hi), box, range(span + 1), 0)
+    coefs = range(span + 1)
+    block = feasible_block((u.lo, u.hi), box, coefs, 0)
+    if block is None:
+        return 0
+    ya, yb, xa, xb, _ = block
+    rows = max(8, _CHUNK_CELLS // (xb - xa))
     count = 0
-    # a chunk of rows at a time, so memory stays linear in the union's width
-    for i in range(0, len(rows), _ROWS):
-        ys, a, b = zip(*rows[i : i + _ROWS])
-        ok = progressions_in(u, (min(a), max(b), ys[0], ys[-1] + 1), range(span + 1))
+    for y in range(ya, yb, rows):
+        ok = progressions_in(u, (xa, xb, y, min(y + rows, yb)), coefs)
         count += int(np.count_nonzero(ok))
     return count
 
@@ -420,7 +429,7 @@ def verify_fg(
     in_box = box_mask(cols.shape)
     ys = (max(p_lo, bx[2]), min(pre[3], bx[3]))
     term = range(-cert.offset, 1 - cert.offset)
-    for p, a, b in feasible_rows(bx[:2], (x_lo, x_hi, *ys), term, -cert.shift):
+    for p, a, b in block_rows(bx[:2], (x_lo, x_hi, *ys), term, -cert.shift):
         in_box[a - x_lo : b - x_lo, p - p_lo] = True
     hit = first_member(pre, cols & ~in_box)
     if hit is not None:

@@ -35,10 +35,11 @@ from .windows import (
     WindowSet2D,
     box_mask,
     contains_interval,
-    feasible_rows,
+    feasible_block,
     first_member,
     is_ps_at_scale,
     max_run_length,
+    probe_block,
     progressions_in,
     ps_scale_1d,
     ps_scale_2d,
@@ -168,16 +169,15 @@ def progression_pairs(
         raise ValueError(f"span must be >= 1, got {span}")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
     u = shifted_union_1d(s, radius)
-    rows = feasible_rows((u.lo, u.hi), box, range(span + 1), 0)
-    feasible = sum(b - a for _, a, b in rows)
-    if not feasible:
+    block = feasible_block((u.lo, u.hi), box, range(span + 1), 0)
+    if block is None:
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "
             f"window [{u.lo}, {u.hi}) at span {span}"
         )
-    member = progressions_in(u, (x_lo, x_hi, y_lo, y_hi), range(span + 1))
+    member = probe_block(u, box, block, range(span + 1), 0)
     pairs = WindowSet2D(x_lo, x_hi, y_lo, y_hi, member)
-    excluded = (x_hi - x_lo) * (y_hi - y_lo) - feasible
+    excluded = (x_hi - x_lo) * (y_hi - y_lo) - block[4]
     return PairSet(pairs=pairs, boundary_excluded=excluded)
 
 
@@ -209,7 +209,8 @@ def color_classes(
         ok &= remaining
         if ok.any():
             out[triple] = WindowSet2D(*pairs.box, ok)
-            remaining &= ~ok
+            # ok is within remaining, so this clears exactly ok
+            remaining ^= ok
     hit = first_member(pairs.box, remaining)
     if hit is not None:
         raise PhiSearchError(

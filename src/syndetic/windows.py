@@ -20,9 +20,11 @@ the set.
 Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
 window raises :class:`WindowError`.  The one vectorized probe,
 ``progressions_in`` over a box of starts and steps, counts a term outside
-the window as absent.  ``feasible_rows`` is the one clip of a box to the
-starts whose terms all land: the probe, ``progression_pairs``'s excluded
-count, and the verifier's recount and pair-box check all go through it.
+the window as absent.  ``feasible_block`` is the one clip of a box to the
+starts whose terms all land: the least block that holds them and their
+number, in closed form, O(1) in Python ints and exact at any bound.  The
+probe, ``progression_pairs``'s excluded count, and the verifier's recount
+and pair-box check (row by row through ``block_rows``) all go through it.
 Scans and recounts near a boundary are then conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "WindowError",
@@ -47,7 +48,9 @@ __all__ = [
     "check_window",
     "fits_int64",
     "progressions_in",
-    "feasible_rows",
+    "probe_block",
+    "feasible_block",
+    "block_rows",
     "first_member",
     "run_edges",
     "contains_interval",
@@ -262,60 +265,39 @@ def progressions_in(s: WindowSet1D, box, coefs: range, shift: int = 0) -> np.nda
     """Over the box [x_lo, x_hi) x [y_lo, y_hi) of starts x and steps y,
     whether x + shift + c*y is a member of s for every c in the nonempty
     range coefs, as a mask indexed [x - x_lo, y - y_lo].  A term outside
-    the window is absent.  Costs O(area * terms), with at most width + 1
-    terms probed."""
-    x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
+    the window is absent, and only the box's ``feasible_block`` is probed:
+    O(1) Python work and O(block area * terms) numpy work, with at most
+    width + 1 terms probed."""
+    block = feasible_block((s.lo, s.hi), box, coefs, shift)
+    return probe_block(s, box, block, coefs, shift)
+
+
+def probe_block(s: WindowSet1D, box, block, coefs: range, shift: int) -> np.ndarray:
+    """The ``progressions_in`` mask of the box, given the box's
+    ``feasible_block`` for s's window, coefs and shift, so that a caller
+    who needs the block too clips once."""
+    x_lo, x_hi, y_lo, y_hi = map(int, box)
     out = box_mask((x_hi - x_lo, y_hi - y_lo))
-    block = _probe(s, box, coefs, shift)
     if block is not None:
-        x, y, ok = block
-        out[x - x_lo : x - x_lo + ok.shape[0], y - y_lo : y - y_lo + ok.shape[1]] = ok
+        ya, yb, xa, xb, _ = block
+        _probe(s, block, coefs, shift, out[xa - x_lo : xb - x_lo, ya - y_lo : yb - y_lo])
     return out
 
 
-def feasible_rows(window, box, coefs: range, shift: int) -> list:
-    """(y, a, b) per step row y of the box that keeps a start: a <= x < b
-    are the starts whose terms x + shift + c*y, c in the nonempty range
-    coefs, all land in the window [lo, hi).  In Python ints, so exact at
-    any bound."""
-    if not coefs:
-        raise ValueError("coefs is empty")
-    lo, hi, x_lo, x_hi, y_lo, y_hi = (int(v) for v in (*window, *box))
-    shift = int(shift)
-    c0, c1 = sorted((coefs[0], coefs[-1]))
-    if c1 > c0:
-        reach = (hi - lo - 1) // (c1 - c0)
-        y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach + 1)
-    # per row, the starts whose least and greatest terms land; a row's
-    # lower end is convex in y and its upper end concave, so the rows
-    # that keep a start form one interval
-    rows = []
-    for y in range(y_lo, y_hi):
-        a = max(x_lo, lo - shift - min(c0 * y, c1 * y))
-        b = min(x_hi, hi - shift - max(c0 * y, c1 * y))
-        if a < b:
-            rows.append((y, a, b))
-    return rows
-
-
-def _probe(s: WindowSet1D, box, coefs: range, shift: int):
-    """The progressions_in mask on the least block (x, y, mask) of the box
-    that holds every feasible row, or None if there is none; the rest of
-    the box is absent unprobed.
+def _probe(s: WindowSet1D, block, coefs: range, shift: int, ok: np.ndarray) -> None:
+    """Write into ok, indexed [x - xa, y - ya] over the feasible block
+    (ya, yb, xa, xb, cells), whether x + shift + c*y is a member of s for
+    every c in coefs.
 
     For a fixed step y and coefficient c, the terms over consecutive
-    starts are one contiguous slice of the mask, so each coefficient ANDs
-    one strided view of a padded copy: O(block area) per term, with no
-    index array.  The padding is below the block's width on each side.
+    starts are one contiguous slice of the mask, so one coefficient's
+    terms over the block are one strided view of a padded copy, ANDed
+    into ok: O(block area) per term, with no index array.  The padding is
+    below the block's width on each side.
     """
-    rows = feasible_rows((s.lo, s.hi), box, coefs, shift)
-    if not rows:
-        return None
-    shift = int(shift)
-    w = s.width
-    ya, yb = rows[0][0], rows[-1][0] + 1
-    xa, xb = min(r[1] for r in rows), max(r[2] for r in rows)
-    nx, ny = xb - xa, yb - ya
+    ya, yb, xa, xb, _ = block
+    shift, w = int(shift), s.width
+    nx = xb - xa
     # row y of coefficient c reads nx cells from xa + shift + c*y - lo on;
     # every row holds a start whose terms land, so that lies in (-nx, w)
     ends = (coefs[0], coefs[-1])
@@ -325,15 +307,111 @@ def _probe(s: WindowSet1D, box, coefs: range, shift: int):
     if left or right:
         cells = np.zeros(left + w + right, dtype=bool)
         cells[left : left + w] = s.mask
-    view = sliding_window_view(cells, nx)
-    ok = np.ones((ny, nx), dtype=bool)
     # Distinct coefficients spread a nonzero step's terms by at least |y|
     # each, so width + 1 of them cannot all land in the window; a zero
-    # step repeats its first term.  The cap is exact.
-    for c in coefs[: w + 1]:
+    # step repeats its first term.  The cap is exact.  The ANDs run on
+    # ok.T, a step row at a time: on ok itself, numpy would buffer the
+    # views of c = 1 and c = -1 through a temporary.
+    rows = ok.T
+    for i, c in enumerate(coefs[: w + 1]):
         j = left + xa + shift + c * ya - s.lo
-        ok &= view[j] if c == 0 else view[j::c][:ny]
-    return xa, ya, ok.T
+        view = np.ndarray((yb - ya, nx), bool, cells, j, (c, 1))
+        if i:
+            rows &= view
+        else:
+            rows[...] = view
+
+
+def feasible_block(window, box, coefs: range, shift: int):
+    """The least block (ya, yb, xa, xb, cells) of the box [x_lo, x_hi) x
+    [y_lo, y_hi) that holds every start x of every step row y whose terms
+    x + shift + c*y, c in the nonempty range coefs, all land in the window
+    [lo, hi); ``cells`` is the number of such (x, y).  None if there is
+    none.  In Python ints and O(1), so exact at any bound.
+
+    On each half-line of steps (y >= 0 and y < 0) the least and greatest
+    terms come from fixed coefficients cm and cM, so a row keeps a start
+    under linear cuts in y, and the rows form one interval: a row's lower
+    end is convex in y and its upper end concave.  Their least lower and
+    greatest upper end lie at the interval's ends or at y = 0, and the
+    cells are sums of arithmetic series, split where a clamp to the box's
+    start range takes over.
+    """
+    L, H, x_lo, x_hi, y_lo, y_hi, c0, c1 = _clip_terms(window, box, coefs, shift)
+    if x_lo >= x_hi:
+        return None
+    # the rows of each half that keep a start, lower half first; when both
+    # keep one they meet at y = 0, as the rows form one interval
+    spans, cells = [], 0
+    for ya, yb, cm, cM in ((y_lo, min(y_hi, 0), c1, c0), (max(y_lo, 0), y_hi, c0, c1)):
+        # L - cm*y < x_hi, x_lo < H - cM*y and L - cm*y < H - cM*y
+        for k, m in ((-cm, x_hi - L - 1), (cM, H - x_lo - 1), (cM - cm, H - L - 1)):
+            ya, yb = _rows_where(k, m, ya, yb)
+        if ya < yb:
+            spans += (ya, yb)
+            # the sum of min(x_hi, H - cM*y) - max(x_lo, L - cm*y), with
+            # each clamp's excess taken back on the rows where it holds
+            cells += (
+                _line_sum(H - L, cm - cM, ya, yb)
+                + _line_sum(x_hi - H, cM, *_rows_where(cM, H - x_hi, ya, yb))
+                - _line_sum(x_lo - L, cm, *_rows_where(-cm, x_lo - L, ya, yb))
+            )
+    if not spans:
+        return None
+    ya, yb = spans[0], spans[-1]
+    ends = [
+        _row_ends(y, L, H, x_lo, x_hi, c0, c1)
+        for y in (ya, min(max(ya, 0), yb - 1), yb - 1)
+    ]
+    return ya, yb, min(ends)[0], max(b for _, b in ends), cells
+
+
+def block_rows(window, box, coefs: range, shift: int):
+    """(y, a, b) for each step row y of the box's ``feasible_block``: a <=
+    x < b are the starts whose terms all land, by the per-row rule that
+    the block sums, and every row of the block keeps one.  Lazy, so a tall
+    block builds no list."""
+    block = feasible_block(window, box, coefs, shift)
+    if block is None:
+        return
+    L, H, x_lo, x_hi, _, _, c0, c1 = _clip_terms(window, box, coefs, shift)
+    for y in range(block[0], block[1]):
+        yield (y, *_row_ends(y, L, H, x_lo, x_hi, c0, c1))
+
+
+def _clip_terms(window, box, coefs: range, shift: int) -> tuple:
+    """(L, H, x_lo, x_hi, y_lo, y_hi, c0, c1) in Python ints: a start x
+    of step row y keeps its terms in the window [lo, hi) iff L <= x +
+    c*y < H for c = c0 and c = c1, the least and greatest coefficient."""
+    if not coefs:
+        raise ValueError("coefs is empty")
+    lo, hi, x_lo, x_hi, y_lo, y_hi, shift = map(int, (*window, *box, shift))
+    c0, c1 = sorted((coefs[0], coefs[-1]))
+    return lo - shift, hi - shift, x_lo, x_hi, y_lo, y_hi, c0, c1
+
+
+def _row_ends(y: int, L: int, H: int, x_lo: int, x_hi: int, c0: int, c1: int):
+    """The starts a <= x < b of step row y whose least and greatest terms
+    land; the row keeps none when a >= b."""
+    return max(x_lo, L - min(c0 * y, c1 * y)), min(x_hi, H - max(c0 * y, c1 * y))
+
+
+def _rows_where(k: int, m: int, ya: int, yb: int) -> tuple[int, int]:
+    """The rows y of [ya, yb) with k*y <= m, as one interval."""
+    if k > 0:
+        yb = min(yb, m // k + 1)
+    elif k < 0:
+        ya = max(ya, -(m // -k))
+    elif m < 0:
+        yb = ya
+    return ya, yb
+
+
+def _line_sum(p: int, q: int, ya: int, yb: int) -> int:
+    """The sum of p + q*y over the rows y of [ya, yb)."""
+    n = max(0, yb - ya)
+    # n and ya + yb - 1 differ in parity, so their product is even
+    return n * p + q * (n * (ya + yb - 1) // 2)
 
 
 def first_member(box, mask: np.ndarray) -> tuple[int, int] | None:

@@ -175,6 +175,23 @@ def progression_pairs(members: set[int], lo: int, hi: int, radius: int, span: in
     return hits, excluded
 
 
+def feasible_rows(window, box, coefs: range, shift: int) -> list:
+    """(y, a, b) per step row y of the box that keeps a start: a <= x < b
+    are the starts whose terms x + shift + c*y, c in the nonempty range
+    coefs, all land in the window [lo, hi).  One row at a time, from the
+    least and greatest term of each row."""
+    lo, hi = window
+    x_lo, x_hi, y_lo, y_hi = box
+    c0, c1 = sorted((coefs[0], coefs[-1]))
+    rows = []
+    for y in range(y_lo, y_hi):
+        a = max(x_lo, lo - shift - min(c0 * y, c1 * y))
+        b = min(x_hi, hi - shift - max(c0 * y, c1 * y))
+        if a < b:
+            rows.append((y, a, b))
+    return rows
+
+
 def verified_triple(members: set[int], lo: int, hi: int, a: int, d: int,
                     radius: int, span: int, steps: int):
     """Least (shift, stride, offset) whose sub-progression verifies in S."""

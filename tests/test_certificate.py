@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import naive
+from syndetic import certificate
 from syndetic.certificate import (
     CertificateParseError,
     DigestMismatchError,
@@ -20,7 +21,7 @@ from syndetic.certificate import (
 )
 from syndetic.generators import periodic_set, striped_set
 from syndetic.pipeline import fg_construct
-from syndetic.windows import WindowSet1D, WindowSet2D, shifted_union_1d
+from syndetic.windows import WindowSet1D, WindowSet2D, progressions_in, shifted_union_1d
 
 DATA = Path(__file__).parent / "data"
 
@@ -395,6 +396,22 @@ class TestVerify:
         hits, _ = naive.progression_pairs(members, s.lo, s.hi, radius, span, box)
         u = shifted_union_1d(s, radius)
         assert _recount_pairs(u, box, span) == len(hits)
+
+    def test_recount_of_a_constructed_certificate_is_one_probe(self, monkeypatch):
+        # construct's pair box holds at most 200,000 cells, and so does its
+        # feasible block: one chunk
+        s = striped_set((0, 100_000), 5, 2)
+        cert = fg_construct(s, 2, 2)
+        u = shifted_union_1d(s, cert.radius)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return progressions_in(*args)
+
+        monkeypatch.setattr(certificate, "progressions_in", counted)
+        assert _recount_pairs(u, cert.pair_box, cert.span) == cert.pair_count
+        assert len(calls) == 1
 
     def test_out_of_range_triple_fails(self, striped_cert, striped_input):
         bad = striped_cert.with_field(shift=striped_cert.radius + 1)

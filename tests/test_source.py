@@ -53,6 +53,24 @@ def test_every_import_is_read():
     assert unread == []
 
 
+def test_one_closed_form_clip():
+    # windows.feasible_block is the one clip; no row-by-row clip comes
+    # back, and strided views are plain np.ndarray calls
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "feasible_rows":
+                found.append(f"{path.name}:{node.lineno} defines feasible_rows")
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            if any(name.startswith("numpy.lib.stride_tricks") for name in names):
+                found.append(f"{path.name}:{node.lineno} imports stride_tricks")
+    assert found == []
+
+
 def _templates(tree: ast.Module):
     """Every string literal, and every f-string with ``{}`` for each of its
     replacement fields."""

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,9 @@ from syndetic.windows import (
     WindowError,
     WindowSet1D,
     WindowSet2D,
+    block_rows,
     contains_interval,
-    feasible_rows,
+    feasible_block,
     first_member,
     is_ps_at_scale,
     max_run_length,
@@ -235,12 +237,14 @@ class TestProgressionsIn:
         box = (-(10**18), 10**18, -3, 4)
         tracemalloc.start()
         try:
-            block = windows._probe(s, box, coefs, shift)
+            block = windows.feasible_block((s.lo, s.hi), box, coefs, shift)
+            ya, yb, xa, xb, _ = block
+            ok = windows.box_mask((xb - xa, yb - ya))
+            windows._probe(s, block, coefs, shift, ok)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the block's rows, plus a padded copy of at most three widths
-        x, y, ok = block
         assert ok.shape[0] < 2 * s.width and ok.shape[1] == box[3] - box[2]
         assert peak < s.width * (box[3] - box[2] + 3)
 
@@ -279,11 +283,47 @@ class TestFeasibleRows:
             if xs:
                 assert xs == list(range(xs[0], xs[-1] + 1))
                 want.append((y, xs[0], xs[-1] + 1))
-        got = feasible_rows((lo, hi), (x_lo, x_hi, y_lo, y_hi), coefs, shift)
+        got = naive.feasible_rows((lo, hi), (x_lo, x_hi, y_lo, y_hi), coefs, shift)
         assert got == want
         assert all(a < b for _, a, b in got)
         ys = [y for y, _, _ in got]
         assert not ys or ys == list(range(ys[0], ys[-1] + 1))
+
+
+class TestFeasibleBlock:
+    @given(clip_cases())
+    def test_matches_the_row_oracle(self, case):
+        window, box, coefs, shift = case
+        rows = naive.feasible_rows(window, box, coefs, shift)
+        got = feasible_block(window, box, coefs, shift)
+        if not rows:
+            assert got is None and list(block_rows(window, box, coefs, shift)) == []
+            return
+        ya, yb = rows[0][0], rows[-1][0] + 1
+        xa, xb = min(a for _, a, _ in rows), max(b for _, _, b in rows)
+        assert got == (ya, yb, xa, xb, sum(b - a for _, a, b in rows))
+        # the per-row rule gives each of the block's rows its starts
+        assert list(block_rows(window, box, coefs, shift)) == rows
+
+    def test_tall_box_costs_constant_time_and_memory(self):
+        # a pair box 2 * 10**12 steps tall over a 200,000-wide window: the
+        # block and its cells come without a per-row pass
+        box = (0, 200_000, -(10**12), 10**12)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            block = feasible_block((0, 200_000), box, range(3), 0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 64 * 1024
+        assert block[:4] == (-99_999, 100_000, 0, 200_000)
+        # on a 2,000-wide copy the rows past +-999 keep no start, so the
+        # oracle walks only the rows within +-2,000
+        small = feasible_block((0, 2_000), (0, 2_000, -(10**12), 10**12), range(3), 0)
+        rows = naive.feasible_rows((0, 2_000), (0, 2_000, -2_000, 2_000), range(3), 0)
+        assert small[4] == sum(b - a for _, a, b in rows)
 
 
 class TestContainsInterval:
