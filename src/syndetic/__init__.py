@@ -6,6 +6,7 @@ from .certificate import (
     CertificateParseError,
     DigestMismatchError,
     FgCertificate,
+    RefusalError,
     Verdict,
     parse,
     serialize,

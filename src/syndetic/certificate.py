@@ -5,7 +5,9 @@ A certificate transcribes one run of the construction pipeline.  Every
 claim it carries is recomputable from the serialized input set alone, and
 ``verify_fg`` does exactly that: it re-derives each claim from first
 principles using only the window-set primitives and a local van der
-Waerden recomputation.  It never calls into the pipeline module.
+Waerden recomputation.  It never calls into the pipeline module.  The
+pair box's progression pairs come from one probe of its feasible block,
+refused over 200,000 cells: more than any that ``construct`` emits.
 
 Document grammar (strict order, decimal integers, ``#`` lines ignored)::
 
@@ -78,6 +80,7 @@ __all__ = [
     "CertificateParseError",
     "DigestMismatchError",
     "FgCertificate",
+    "RefusalError",
     "Verdict",
     "set_digest",
     "serialize",
@@ -128,9 +131,12 @@ class CertificateParseError(CertificateError):
         self.lineno = lineno
 
 
-class DigestMismatchError(CertificateError):
-    """The certificate does not bind to the given input set.  This is a
-    refusal to judge, not a fail verdict."""
+class RefusalError(CertificateError):
+    """The verifier declines to judge: a refusal, not a fail verdict."""
+
+
+class DigestMismatchError(RefusalError):
+    """The certificate does not bind to the given input set."""
 
 
 @dataclass(frozen=True)
@@ -285,31 +291,25 @@ def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
 
 
 # The pair box of every certificate construct emits is within
-# pipeline._auto_box's 200,000-cell cap, so the recount probes it at once.
-_CHUNK_CELLS = 200_000
+# pipeline._auto_box's 200,000-cell cap, and so is its feasible block.
+_BLOCK_CELLS = 200_000
 
 
-def _recount_pairs(u: WindowSet1D, box: tuple[int, int, int, int], span: int) -> int:
-    """Brute recount of progression pairs over the box, straight from the
-    definition: start + i*step must be a union member for i = 0..span.
-
-    Only the box's ``feasible_block`` is probed, so the work is bounded
-    by the union, whatever box the certificate declares, and the block's
-    cells are known before any probing.  It is probed in chunks of
-    max(8, 200,000 // block width) rows, so a probe holds at most 8 of
-    its rows or 200,000 cells, whichever is more.
-    """
+def _pair_block(u: WindowSet1D, box: tuple[int, int, int, int], span: int):
+    """The box's ``feasible_block`` for the union u as a box (xa, xb, ya,
+    yb), empty if it has no cell, and its progression pairs: start + i*step
+    in u for i = 0..span.  Whatever box the certificate declares, a block
+    over _BLOCK_CELLS is refused before anything is allocated."""
     coefs = range(span + 1)
-    block = feasible_block((u.lo, u.hi), box, coefs, 0)
-    if block is None:
-        return 0
-    ya, yb, xa, xb, _ = block
-    rows = max(8, _CHUNK_CELLS // (xb - xa))
-    count = 0
-    for y in range(ya, yb, rows):
-        ok = progressions_in(u, (xa, xb, y, min(y + rows, yb)), coefs)
-        count += int(np.count_nonzero(ok))
-    return count
+    ya, yb, xa, xb, _ = feasible_block((u.lo, u.hi), box, coefs, 0) or (0,) * 5
+    area = (yb - ya) * (xb - xa)
+    if area > _BLOCK_CELLS:
+        raise RefusalError(
+            f"the pair box's feasible block has {area} cells, "
+            f"over the {_BLOCK_CELLS} the verifier probes"
+        )
+    block = (xa, xb, ya, yb)
+    return block, progressions_in(u, block, coefs)
 
 
 def verify_fg(
@@ -332,8 +332,9 @@ def verify_fg(
     7. pair_count    -- brute recount over the box matches
     8. class_count   -- the pair set's cardinality matches
 
-    A digest or window mismatch raises DigestMismatchError instead of
-    returning a verdict.
+    A digest or window mismatch raises DigestMismatchError, and a pair box
+    whose feasible block is over 200,000 cells RefusalError, its base,
+    instead of returning a verdict.
     """
     if (cert.lo, cert.hi) != (s.lo, s.hi):
         raise DigestMismatchError(
@@ -414,42 +415,40 @@ def verify_fg(
     off_stride[first::every] = False
     hit = first_member(pairs.box, pairs.mask & off_stride)
     if hit is not None:
-        return _fail(
-            "pair_preimage",
-            f"pair step {hit[1]} is not a multiple of stride {cert.stride}",
-            notes,
-        )
+        detail = f"pair step {hit[1]} is not a multiple of stride {cert.stride}"
+        return _fail("pair_preimage", detail, notes)
     # on those columns, as preimage steps p, a pair (x, stride*p) pulls
-    # back to (x - offset*p - shift, p), whose start is the one term c =
-    # -offset of the progression x - shift + c*p: it must land in bx[:2]
+    # back to (x - d, p) with d = offset*p + shift, whose start is the one
+    # term c = -offset of the progression x - shift + c*p
     cols = pairs.mask[:, first::every]
     p_lo = (y_lo + first) // cert.stride
     pre = (x_lo, x_hi, p_lo, p_lo + cols.shape[1])
-    bx = cert.pair_box
-    in_box = box_mask(cols.shape)
-    ys = (max(p_lo, bx[2]), min(pre[3], bx[3]))
     term = range(-cert.offset, 1 - cert.offset)
-    for p, a, b in block_rows(bx[:2], (x_lo, x_hi, *ys), term, -cert.shift):
-        in_box[a - x_lo : b - x_lo, p - p_lo] = True
-    hit = first_member(pre, cols & ~in_box)
-    if hit is not None:
-        x, p = hit
-        pulled = f"({x - cert.offset * p - cert.shift}, {p})"
-        return _fail("pair_preimage", f"preimage {pulled} leaves the pair box", notes)
-    coefs = range(-cert.offset, cert.span + 1 - cert.offset)
-    ok = progressions_in(u, pre, coefs, -cert.shift)
-    hit = first_member(pre, cols & ~ok)
-    if hit is not None:
-        x, p = hit
-        pulled = f"({x - cert.offset * p - cert.shift}, {p})"
-        detail = f"preimage {pulled} is not a progression pair"
-        return _fail("pair_preimage", detail, notes)
 
-    recount = _recount_pairs(u, cert.pair_box, cert.span)
+    def pull(xa, xb, ya, yb, found=None):
+        # the first pair whose preimage leaves [xa, xb) x [ya, yb), or found
+        ok = box_mask(cols.shape)
+        ys = (max(p_lo, ya), min(pre[3], yb))
+        for p, a, b in block_rows((xa, xb), (x_lo, x_hi, *ys), term, -cert.shift):
+            d = cert.offset * p + cert.shift
+            row = True if found is None else found[a - d - xa : b - d - xa, p - ya]
+            ok[a - x_lo : b - x_lo, p - p_lo] = row
+        hit = first_member(pre, cols & ~ok)
+        if hit is not None:
+            return f"preimage ({hit[0] - cert.offset * hit[1] - cert.shift}, {hit[1]})"
+
+    pulled = pull(*cert.pair_box)
+    if pulled is not None:
+        return _fail("pair_preimage", f"{pulled} leaves the pair box", notes)
+    block, found = _pair_block(u, cert.pair_box, cert.span)
+    pulled = pull(*block, found)
+    if pulled is not None:
+        return _fail("pair_preimage", f"{pulled} is not a progression pair", notes)
+
+    recount = int(np.count_nonzero(found))
     if recount != cert.pair_count:
-        return _fail(
-            "pair_count", f"claimed {cert.pair_count}, recounted {recount}", notes
-        )
+        detail = f"claimed {cert.pair_count}, recounted {recount}"
+        return _fail("pair_count", detail, notes)
 
     if cert.ap_pairs.count != cert.class_count:
         return _fail(

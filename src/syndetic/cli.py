@@ -15,7 +15,7 @@ import argparse
 import sys
 import traceback
 
-from .certificate import DigestMismatchError, parse, serialize, verify_fg
+from .certificate import RefusalError, parse, serialize, verify_fg
 from .generators import KINDS, gen_example
 from .pipeline import ConstructionError, fg_construct
 from .textio import dump_window1d, load_window1d
@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
     head = _header(args, ["cert", "input"])
     try:
         verdict = verify_fg(cert, s, vdw_budget=args.budget)
-    except DigestMismatchError as exc:
+    except RefusalError as exc:
         _emit(args, head + f"REFUSED {exc}\n")
         return EXIT_PRECONDITION
     lines = [head]
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (DigestMismatchError, ConstructionError) as exc:
+    except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BudgetExhaustedError as exc:

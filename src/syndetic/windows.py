@@ -23,8 +23,8 @@ window raises :class:`WindowError`.  The one vectorized probe,
 the window as absent.  ``feasible_block`` is the one clip of a box to the
 starts whose terms all land: the least block that holds them and their
 number, in closed form, O(1) in Python ints and exact at any bound.  The
-probe, ``progression_pairs``'s excluded count, and the verifier's recount
-and pair-box check (row by row through ``block_rows``) all go through it.
+probe, ``progression_pairs``'s excluded count, and the verifier's probe of
+the pair box and pull-back (row by row through ``block_rows``) all use it.
 Scans and recounts near a boundary are then conservative, never optimistic.
 
 All set values are immutable after construction and every operation is a

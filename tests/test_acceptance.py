@@ -57,13 +57,21 @@ def criterion(name):
 # windows up to 1e5
 
 
-def build_corpus():
+def build_corpus(seed=0):
+    """The 52 instances.  Another seed keeps every width, block, gap,
+    period and residue set and moves each window start within [-200, 200),
+    by the rule of the benchmark's corpus; seed 0 moves none."""
     widths = [1_000, 3_000, 10_000, 30_000, 100_000]
     instances = []
+
+    def start(lo):
+        k = len(instances)
+        return (lo + 200 + 137 * seed * (k + 1)) % 400 - 200
+
     for i in range(26):
         rng = np.random.default_rng(5000 + i)
         w = widths[i % len(widths)]
-        lo = int(rng.integers(-200, 200))
+        lo = start(int(rng.integers(-200, 200)))
         block = int(rng.integers(1, 40))
         gap = int(rng.integers(1, 3))
         s = striped_set((lo, lo + w), block, gap)
@@ -71,7 +79,7 @@ def build_corpus():
     for i in range(26):
         rng = np.random.default_rng(7000 + i)
         w = widths[i % len(widths)]
-        lo = int(rng.integers(-200, 200))
+        lo = start(int(rng.integers(-200, 200)))
         period = int(rng.integers(2, 7))
         mode = i % 3
         if mode == 0:
@@ -165,6 +173,96 @@ def test_theorem2_end_to_end(corpus):
         assert total < 600, f"corpus took {total:.1f}s"
         # every certificate field and pair, and every verdict, pinned
         assert outputs.hexdigest() == THEOREM2_OUTPUTS
+
+
+# The corpus sets at shapes the corpus itself never reaches: r = max(r, 3)
+# at k = 2 (span 26), and the corpus's r at k = 3 (span 34).  Per shape,
+# sha256 pins over serialize plus repr(verify_fg) of every certificate, and
+# over the verdicts of its seeded mutations.
+WIDE_SHAPES = {
+    "r3-k2": lambda radius, steps: (max(radius, 3), 2),
+    "k3": lambda radius, steps: (radius, 3),
+}
+WIDE_OUTPUTS = {
+    "r3-k2": "e87f48f919e8a18395818364b531559ccdf62a328e164fb5ebdca74fbac54dfc",
+    "k3": "038f0144ae6395c6cb40eca587b736a0b387f96289498718641a397679df233b",
+}
+WIDE_MUTATION_VERDICTS = {
+    "r3-k2": "8572d253846d7f6122d4b960741c5d33131d68632d532d8d4e0606ca27cb9a85",
+    "k3": "8787aacfad769ba9b4861bb89886a3c7eb672ab592c8f2a07bc1202b629894ec",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_certificates(corpus):
+    return {
+        shape: [
+            (name, s, fg_construct(s, *reshape(radius, steps)))
+            for name, s, radius, steps in corpus
+        ]
+        for shape, reshape in WIDE_SHAPES.items()
+    }
+
+
+def seeded_mutations(cert, rng):
+    """Perturbations of the fields the last claims read: the pair box cut
+    on each side by up to a quarter of its extent, the pair box trimmed
+    towards the preimages of the pairs but still holding them, a random
+    offset in its range, the shift cycled, the stride up, the pair count
+    up."""
+    x_lo, x_hi, y_lo, y_hi = cert.pair_box
+    dx = rng.integers(0, 1 + (x_hi - x_lo) // 4, size=2).tolist()
+    dy = rng.integers(0, 1 + (y_hi - y_lo) // 4, size=2).tolist()
+    pts = cert.ap_pairs.points()
+    p = pts[:, 1] // cert.stride
+    x = pts[:, 0] - cert.offset * p - cert.shift
+    hold = (int(x.min()), int(x.max()) + 1, int(p.min()), int(p.max()) + 1)
+    trimmed = tuple(
+        end + sign * int(rng.integers(0, sign * (inner - end) + 1))
+        for end, inner, sign in zip(cert.pair_box, hold, (1, -1, 1, -1))
+    )
+    top = cert.span - cert.steps * cert.stride
+    return [
+        ("pair-box-cut", cert.with_field(
+            pair_box=(x_lo + dx[0], x_hi - dx[1], y_lo + dy[0], y_hi - dy[1])
+        )),
+        ("pair-box-trimmed", cert.with_field(pair_box=trimmed)),
+        ("offset", cert.with_field(offset=int(rng.integers(0, top + 1)))),
+        ("shift-cycled", cert.with_field(shift=cert.shift % cert.radius + 1)),
+        ("stride-up", cert.with_field(stride=cert.stride + 1)),
+        ("pair-count-up", cert.with_field(pair_count=cert.pair_count + 1)),
+    ]
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE_SHAPES))
+def test_wide_shapes_are_pinned(wide_certificates, shape):
+    with criterion(f"wide-shape-{shape}"):
+        outputs, verdicts = hashlib.sha256(), hashlib.sha256()
+        rng = np.random.default_rng(20261020)
+        for name, s, cert in wide_certificates[shape]:
+            verdict = verify_fg(cert, s)
+            assert verdict.passed, (name, verdict)
+            outputs.update((serialize(cert) + repr(verdict)).encode())
+            for mutation, bad in seeded_mutations(cert, rng):
+                verdicts.update(f"{name} {mutation} {verify_fg(bad, s)!r}\n".encode())
+        assert outputs.hexdigest() == WIDE_OUTPUTS[shape]
+        assert verdicts.hexdigest() == WIDE_MUTATION_VERDICTS[shape]
+
+
+def test_no_constructed_certificate_is_refused(corpus, wide_certificates):
+    # the verifier refuses a pair box whose feasible block has over 200,000
+    # cells; construct's boxes stay under that on both benchmark seeds and
+    # at the wide shapes
+    with criterion("no-constructed-certificate-refused"):
+        built = [
+            (name, s, fg_construct(s, radius, steps))
+            for seed_corpus in (corpus, build_corpus(9173))
+            for name, s, radius, steps in seed_corpus
+        ]
+        for certs in wide_certificates.values():
+            built += certs
+        for name, s, cert in built:
+            assert verify_fg(cert, s).passed, name
 
 
 def test_theorem1_on_corpus(corpus):

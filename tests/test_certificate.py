@@ -12,12 +12,13 @@ from syndetic.certificate import (
     CertificateParseError,
     DigestMismatchError,
     FgCertificate,
+    RefusalError,
     Verdict,
     parse,
     serialize,
     set_digest,
     verify_fg,
-    _recount_pairs,
+    _pair_block,
 )
 from syndetic.generators import periodic_set, striped_set
 from syndetic.pipeline import fg_construct
@@ -395,14 +396,15 @@ class TestVerify:
         members = set(s.members().tolist())
         hits, _ = naive.progression_pairs(members, s.lo, s.hi, radius, span, box)
         u = shifted_union_1d(s, radius)
-        assert _recount_pairs(u, box, span) == len(hits)
+        _, found = _pair_block(u, box, span)
+        assert np.count_nonzero(found) == len(hits)
 
-    def test_recount_of_a_constructed_certificate_is_one_probe(self, monkeypatch):
-        # construct's pair box holds at most 200,000 cells, and so does its
-        # feasible block: one chunk
+    def test_verify_makes_two_probes(self, monkeypatch):
+        # one for ap_membership, and one of the pair box's feasible block,
+        # which claims 6 and 7 both read: construct's pair box holds at most
+        # 200,000 cells, and so does that block
         s = striped_set((0, 100_000), 5, 2)
         cert = fg_construct(s, 2, 2)
-        u = shifted_union_1d(s, cert.radius)
         calls = []
 
         def counted(*args):
@@ -410,8 +412,27 @@ class TestVerify:
             return progressions_in(*args)
 
         monkeypatch.setattr(certificate, "progressions_in", counted)
-        assert _recount_pairs(u, cert.pair_box, cert.span) == cert.pair_count
-        assert len(calls) == 1
+        assert verify_fg(cert, s).passed
+        assert len(calls) == 2
+
+    def test_pair_box_over_the_cap_is_refused_at_once(self):
+        # the one-color pair box widened to +-10^18: its feasible block is
+        # about 32,000 starts by 64,000 steps, refused before it is probed
+        s = striped_set((0, 32_000), 5, 2)
+        cert = fg_construct(s, 1, 1)
+        wide = cert.with_field(pair_box=(-(10**18), 10**18, -(10**18), 10**18))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            refusal = "has 2047968000 cells, over the 200000 the verifier probes"
+            with pytest.raises(RefusalError, match=refusal):
+                verify_fg(wide, s)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 4 * 2**20
 
     def test_out_of_range_triple_fails(self, striped_cert, striped_input):
         bad = striped_cert.with_field(shift=striped_cert.radius + 1)
@@ -431,6 +452,19 @@ class TestVerify:
                 assert "pipeline" not in (node.module or "")
             if isinstance(node, ast.Import):
                 assert all("pipeline" not in a.name for a in node.names)
+
+
+def naive_pair_count(s, radius, span, box):
+    """The progression pairs of the box, counted by the per-point oracle
+    over the box clipped to a margin past the union's window: a start
+    outside it, or a step too long for it, holds none."""
+    reach = (s.width + radius - 2) // span
+    margin = (s.lo - radius - 3, s.hi + 2, -reach - 3, reach + 4)
+    clipped = [max(box[0], margin[0]), min(box[1], margin[1])]
+    clipped += [max(box[2], margin[2]), min(box[3], margin[3])]
+    members = set(s.members().tolist())
+    hits, _ = naive.progression_pairs(members, s.lo, s.hi, radius, span, clipped)
+    return len(hits)
 
 
 def first_probe_failure(cert, s):
@@ -464,7 +498,8 @@ def first_probe_failure(cert, s):
 class TestVerdictDetails:
     """Each failing membership or preimage branch names the same pair as a
     per-point recomputation: the first failing one in pt order, which for
-    the preimage branches is the order of the image."""
+    the preimage branches is the order of the image.  Past those branches,
+    the pair count fails exactly when a per-point recount differs."""
 
     BRANCHES = (
         "leaves the set",
@@ -486,7 +521,8 @@ class TestVerdictDetails:
         cells = [(a, d) for a in range(box[0], box[1]) for d in range(box[2], box[3])]
         valid = [c for c in cells if naive.progression_in(members, *c, k + 1)]
         invalid = [c for c in cells if not naive.progression_in(members, *c, k + 1)]
-        seen = dict.fromkeys(self.BRANCHES, 0)
+        seen = dict.fromkeys((*self.BRANCHES, "pair_count"), 0)
+        recounts = {}
         for _ in range(80):
             triple = {}
             if rng.random() < 0.5:
@@ -532,6 +568,15 @@ class TestVerdictDetails:
             want = first_probe_failure(bad, s)
             if want is None:
                 assert verdict.failed_claim not in ("ap_membership", "pair_preimage")
+                if pair_box not in recounts:
+                    recounts[pair_box] = naive_pair_count(s, bad.radius, span, pair_box)
+                recount = recounts[pair_box]
+                if recount != bad.pair_count:
+                    detail = f"claimed {bad.pair_count}, recounted {recount}"
+                    assert (verdict.failed_claim, verdict.detail) == ("pair_count", detail)
+                    seen["pair_count"] += 1
+                else:
+                    assert verdict.failed_claim != "pair_count"
                 continue
             assert (verdict.failed_claim, verdict.detail) == want
             seen[next(b for b in self.BRANCHES if b in want[1])] += 1

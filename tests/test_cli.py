@@ -374,6 +374,21 @@ class TestConstructAndVerify:
         assert out == ""
         assert err.startswith("error: ") and "allocate" in err
 
+    def test_verify_refuses_a_pair_box_over_the_cap(self, tmp_path, capsys):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 32_000), 5, 2))
+        certp = tmp_path / "c.fgcert"
+        run(capsys, "construct", setp, "1", "1", "--out", str(certp))
+        lines = certp.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("pair_box "))
+        lines[at] = "pair_box {} {} {} {}".format(*[-(10**18), 10**18] * 2)
+        certp.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", str(certp), setp)
+        assert code == 3
+        assert out.splitlines()[1:] == [
+            "REFUSED the pair box's feasible block has 2047968000 cells, "
+            "over the 200000 the verifier probes"
+        ]
+
     def test_verify_refuses_foreign_set(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         otherp = write_set(tmp_path, "o.set", striped_set((0, 200), 5, 3))
