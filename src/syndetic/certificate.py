@@ -425,23 +425,32 @@ def verify_fg(
     pre = (x_lo, x_hi, p_lo, p_lo + cols.shape[1])
     term = range(-cert.offset, 1 - cert.offset)
 
-    def pull(xa, xb, ya, yb, found=None):
-        # the first pair whose preimage leaves [xa, xb) x [ya, yb), or found
-        ok = box_mask(cols.shape)
-        ys = (max(p_lo, ya), min(pre[3], yb))
-        for p, a, b in block_rows((xa, xb), (x_lo, x_hi, *ys), term, -cert.shift):
-            d = cert.offset * p + cert.shift
-            row = True if found is None else found[a - d - xa : b - d - xa, p - ya]
-            ok[a - x_lo : b - x_lo, p - p_lo] = row
+    def unpulled(ok):
+        # the first pair whose preimage is not marked in ok
         hit = first_member(pre, cols & ~ok)
         if hit is not None:
             return f"preimage ({hit[0] - cert.offset * hit[1] - cert.shift}, {hit[1]})"
 
-    pulled = pull(*cert.pair_box)
+    # one walk over the preimage rows marks the preimages in the pair box,
+    # and keeps each row for the progression-pair check, which may only
+    # clip the box once that check has passed
+    bx_lo, bx_hi, by_lo, by_hi = cert.pair_box
+    ys = (max(p_lo, by_lo), min(pre[3], by_hi))
+    inbox, rows = box_mask(cols.shape), []
+    for p, a, b in block_rows((bx_lo, bx_hi), (x_lo, x_hi, *ys), term, -cert.shift):
+        inbox[a - x_lo : b - x_lo, p - p_lo] = True
+        rows.append((p, a, b))
+    pulled = unpulled(inbox)
     if pulled is not None:
         return _fail("pair_preimage", f"{pulled} leaves the pair box", notes)
-    block, found = _pair_block(u, cert.pair_box, cert.span)
-    pulled = pull(*block, found)
+    (xa, xb, ya, yb), found = _pair_block(u, cert.pair_box, cert.span)
+    paired = box_mask(cols.shape)
+    for p, a, b in rows:
+        d = cert.offset * p + cert.shift
+        a, b = max(a, xa + d), min(b, xb + d)
+        if ya <= p < yb and a < b:
+            paired[a - x_lo : b - x_lo, p - p_lo] = found[a - d - xa : b - d - xa, p - ya]
+    pulled = unpulled(paired)
     if pulled is not None:
         return _fail("pair_preimage", f"{pulled} is not a progression pair", notes)
 

@@ -44,6 +44,7 @@ from .windows import (
     ps_scale_1d,
     ps_scale_2d,
     shifted_union_1d,
+    term_views,
 )
 
 __all__ = [
@@ -151,15 +152,6 @@ class PartitionWitness:
     scores: tuple[int, ...]
 
 
-def _triples(radius: int, span: int, steps: int):
-    """All candidate triples, least first: shift-major, then stride, then
-    offset.  Only strides and offsets whose progression fits in 0..span."""
-    for shift in range(1, radius + 1):
-        for stride in range(1, span // steps + 1):
-            for offset in range(0, span - steps * stride + 1):
-                yield ColorTriple(offset, stride, shift)
-
-
 def progression_pairs(
     s: WindowSet1D, radius: int, span: int, box: tuple[int, int, int, int]
 ) -> PairSet:
@@ -176,7 +168,7 @@ def progression_pairs(
             f"window [{u.lo}, {u.hi}) at span {span}"
         )
     member = probe_block(u, box, block, range(span + 1), 0)
-    pairs = WindowSet2D(x_lo, x_hi, y_lo, y_hi, member)
+    pairs = WindowSet2D._adopt(x_lo, x_hi, y_lo, y_hi, member)
     excluded = (x_hi - x_lo) * (y_hi - y_lo) - block[4]
     return PairSet(pairs=pairs, boundary_excluded=excluded)
 
@@ -195,23 +187,38 @@ def color_classes(
     offset) whose sub-progression verifies by membership in s.
     Only nonempty classes appear as keys, so the values partition the
     input and their cardinalities sum to its count.
+
+    The pairs must be progression pairs of s at (radius, span): any outside
+    the box's one ``feasible_block`` for the union raise ValueError.  Per
+    shift, ``term_views`` pads s once; a triple is steps + 1 ANDs over it.
     """
+    x_lo, _, y_lo, _ = box = pairs.box
+    block = feasible_block((s.lo - radius, s.hi - 1), box, range(span + 1), 0)
+    ya, yb, xa, xb, _ = block or (y_lo, y_lo, x_lo, x_lo, 0)
+    inside = (slice(xa - x_lo, xb - x_lo), slice(ya - y_lo, yb - y_lo))
+    rows = np.array(pairs.mask[inside].T)
+    if strays := pairs.count - int(np.count_nonzero(rows)):
+        raise ValueError(f"{strays} of the pairs have a probe outside the union's window")
+    ok = box_mask((xb - xa, yb - ya)).T
+    terms = [(d, o) for d in range(1, span // steps + 1) for o in range(span - steps * d + 1)]
     out: dict[ColorTriple, WindowSet2D] = {}
-    remaining = box_mask(pairs.mask.shape)
-    remaining[...] = pairs.mask
-    for triple in _triples(radius, span, steps):
-        if not remaining.any():
+    for shift in range(1, radius + 1):
+        if not rows.any():
             break
-        coefs = range(
-            triple.offset, triple.offset + (steps + 1) * triple.stride, triple.stride
-        )
-        ok = progressions_in(s, pairs.box, coefs, triple.shift)
-        ok &= remaining
-        if ok.any():
-            out[triple] = WindowSet2D(*pairs.box, ok)
-            # ok is within remaining, so this clears exactly ok
-            remaining ^= ok
-    hit = first_member(pairs.box, remaining)
+        views = term_views(s, block, range(span + 1), shift)
+        for stride, offset in terms:
+            np.logical_and(rows, views[offset], out=ok)
+            for view in views[offset + stride : offset + steps * stride + 1 : stride]:
+                ok &= view
+            if ok.any():
+                cls = box_mask(pairs.mask.shape)
+                cls[inside] = ok.T
+                out[ColorTriple(offset, stride, shift)] = WindowSet2D._adopt(*box, cls)
+                # ok is within rows, so this clears exactly ok
+                rows ^= ok
+                if not rows.any():
+                    break
+    hit = first_member((xa, xb, ya, yb), rows.T)
     if hit is not None:
         raise PhiSearchError(
             "no verified triple for pair ({}, {}); span {} is not a valid "
@@ -281,7 +288,7 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
     out = box_mask((u_hi - u_lo, v_hi - v_lo))
     for j, f, e, dx, v in zip(cols.tolist(), firsts, ends, dxs, vs):
         out[dx + f - u_lo : dx + e - u_lo, v - v_lo] = mask[f:e, j]
-    return WindowSet2D(u_lo, u_hi, v_lo, v_hi, out)
+    return WindowSet2D._adopt(u_lo, u_hi, v_lo, v_hi, out)
 
 
 def _auto_box(run_start: int, run_len: int, span: int) -> tuple[int, int, int, int]:
@@ -322,7 +329,8 @@ def fg_construct(
     the leftmost longest run of the shifted union, capped at 200,000 cells
     with step rows within +-16.  To certify another box, run the public
     stages on it (progression_pairs, color_classes, pigeonhole_extract,
-    affine_image).
+    affine_image).  scale_out is the chosen class's pigeonhole score when
+    its map is a translation (offset 0, stride 1), else the image's.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -344,14 +352,16 @@ def fg_construct(
     if ps.pairs.count == 0:
         raise ConstructionError(f"no progression pairs inside box {box}")
     classes = color_classes(s, ps.pairs, radius=radius, span=span, steps=steps)
-    triple, chosen, _ = pigeonhole_extract(classes, radius_2d)
+    triple, chosen, score = pigeonhole_extract(classes, radius_2d)
     image = affine_image(
         chosen,
         AffineMap2D(shear=triple.offset, shift=triple.shift, scale=triple.stride),
     )
     if (image.mask & ~progressions_in(s, image.box, range(steps + 1))).any():
         raise PhiSearchError("constructed pair fails its membership re-check")
-    length_out = ps_scale_2d(image, radius_2d)
+    # ps_scale_2d depends on the points alone, so a translation keeps it
+    translated = (triple.offset, triple.stride) == (0, 1)
+    length_out = score if translated else ps_scale_2d(image, radius_2d)
     return FgCertificate(
         lo=s.lo,
         hi=s.hi,

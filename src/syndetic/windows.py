@@ -11,21 +11,20 @@ first, but stored step-major (Fortran order), so that the start axis is
 contiguous.  The pipeline's boxes are thousands of starts wide and at most
 33 steps tall, so numpy's inner loops then run thousands of cells at a
 time, not at most 33.  ``box_mask`` allocates every 2D mask the package
-builds; ``WindowSet2D`` copies any other mask into that order.
+builds; ``WindowSet2D`` adopts the construction's uncopied, copies others.
 
 One doubling dilation builds the shifted union in Z and in Z^2 alike:
 the union of shifts by 1..r marks where a side-r interval or square meets
 the set.
 
 Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
-window raises :class:`WindowError`.  The one vectorized probe,
-``progressions_in`` over a box of starts and steps, counts a term outside
-the window as absent.  ``feasible_block`` is the one clip of a box to the
-starts whose terms all land: the least block that holds them and their
-number, in closed form, O(1) in Python ints and exact at any bound.  The
-probe, ``progression_pairs``'s excluded count, and the verifier's probe of
-the pair box and pull-back (row by row through ``block_rows``) all use it.
-Scans and recounts near a boundary are then conservative, never optimistic.
+window raises :class:`WindowError`.  Box probes AND ``term_views``, one
+strided view of the set per coefficient, a term outside the window absent,
+so scans and recounts near a boundary are conservative, never optimistic.
+``feasible_block`` is the one clip of a box to the starts whose terms all
+land, their least block and number, O(1) in Python ints and exact at any
+bound: the probe, ``progression_pairs``'s excluded count, ``color_classes``
+(once per call) and the verifier (row by row via ``block_rows``) use it.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -49,6 +48,7 @@ __all__ = [
     "fits_int64",
     "progressions_in",
     "probe_block",
+    "term_views",
     "feasible_block",
     "block_rows",
     "first_member",
@@ -218,11 +218,15 @@ class WindowSet2D:
                 f"[{x_lo}, {x_hi}) x [{y_lo}, {y_hi})"
             )
         arr.setflags(write=False)
-        self.x_lo = x_lo
-        self.x_hi = x_hi
-        self.y_lo = y_lo
-        self.y_hi = y_hi
-        self._mask = arr
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi, self._mask = x_lo, x_hi, y_lo, y_hi, arr
+
+    @classmethod
+    def _adopt(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int, mask: np.ndarray):
+        """The set on a mask the package just built for it, read-only, uncopied."""
+        mask.setflags(write=False)
+        self = object.__new__(cls)
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi, self._mask = x_lo, x_hi, y_lo, y_hi, mask
+        return self
 
     @property
     def mask(self) -> np.ndarray:
@@ -261,65 +265,50 @@ class WindowSet2D:
         )
 
 
-def progressions_in(s: WindowSet1D, box, coefs: range, shift: int = 0) -> np.ndarray:
+def progressions_in(s: WindowSet1D, box, coefs: range) -> np.ndarray:
     """Over the box [x_lo, x_hi) x [y_lo, y_hi) of starts x and steps y,
-    whether x + shift + c*y is a member of s for every c in the nonempty
-    range coefs, as a mask indexed [x - x_lo, y - y_lo].  A term outside
-    the window is absent, and only the box's ``feasible_block`` is probed:
-    O(1) Python work and O(block area * terms) numpy work, with at most
-    width + 1 terms probed."""
-    block = feasible_block((s.lo, s.hi), box, coefs, shift)
-    return probe_block(s, box, block, coefs, shift)
+    whether x + c*y is a member of s for every c in the nonempty range
+    coefs, as a mask indexed [x - x_lo, y - y_lo].  A term outside the
+    window is absent, and only the box's ``feasible_block`` is probed: O(1)
+    Python work and O(block area * terms) numpy work."""
+    return probe_block(s, box, feasible_block((s.lo, s.hi), box, coefs, 0), coefs, 0)
 
 
 def probe_block(s: WindowSet1D, box, block, coefs: range, shift: int) -> np.ndarray:
-    """The ``progressions_in`` mask of the box, given the box's
-    ``feasible_block`` for s's window, coefs and shift, so that a caller
-    who needs the block too clips once."""
+    """``progressions_in``'s mask with terms x + shift + c*y, given the box's
+    ``feasible_block`` for s's window, coefs and shift, so that a caller who
+    needs the block too clips once.  At most width + 1 ``term_views`` are
+    ANDed, as distinct coefficients spread a nonzero step's terms by |y| or
+    more and a zero step repeats its first term; step row by step row, as
+    over starts numpy would buffer the views of c = +-1 through a temporary."""
     x_lo, x_hi, y_lo, y_hi = map(int, box)
     out = box_mask((x_hi - x_lo, y_hi - y_lo))
     if block is not None:
         ya, yb, xa, xb, _ = block
-        _probe(s, block, coefs, shift, out[xa - x_lo : xb - x_lo, ya - y_lo : yb - y_lo])
+        rows = out[xa - x_lo : xb - x_lo, ya - y_lo : yb - y_lo].T
+        rows[...] = True
+        for view in term_views(s, block, coefs[: s.width + 1], shift):
+            rows &= view
     return out
 
 
-def _probe(s: WindowSet1D, block, coefs: range, shift: int, ok: np.ndarray) -> None:
-    """Write into ok, indexed [x - xa, y - ya] over the feasible block
-    (ya, yb, xa, xb, cells), whether x + shift + c*y is a member of s for
-    every c in coefs.
-
-    For a fixed step y and coefficient c, the terms over consecutive
-    starts are one contiguous slice of the mask, so one coefficient's
-    terms over the block are one strided view of a padded copy, ANDed
-    into ok: O(block area) per term, with no index array.  The padding is
-    below the block's width on each side.
-    """
+def term_views(s: WindowSet1D, block, coefs: range, shift: int) -> list[np.ndarray]:
+    """Per c in coefs, whether x + shift + c*y is in s (absent outside the
+    window), as a view indexed [y - ya, x - xa] over the block (ya, yb, xa,
+    xb, cells).  The views stride over the mask or, when they reach past the
+    window, over one copy of just the cells they read, absent past it."""
     ya, yb, xa, xb, _ = block
-    shift, w = int(shift), s.width
-    nx = xb - xa
-    # row y of coefficient c reads nx cells from xa + shift + c*y - lo on;
-    # every row holds a start whose terms land, so that lies in (-nx, w)
-    ends = (coefs[0], coefs[-1])
-    first = [xa + shift + c * y - s.lo for c in ends for y in (ya, yb - 1)]
-    left, right = max(0, -min(first)), max(0, max(first) + nx - w)
+    nx, j, w = xb - xa, xa + int(shift) - s.lo, s.width
+    # row y of coefficient c reads the nx cells of the mask from j + c*y on
+    first = [j + c * y for c in (coefs[0], coefs[-1]) for y in (ya, yb - 1)]
+    lo, hi = min(first), max(first) + nx
     cells = s.mask
-    if left or right:
-        cells = np.zeros(left + w + right, dtype=bool)
-        cells[left : left + w] = s.mask
-    # Distinct coefficients spread a nonzero step's terms by at least |y|
-    # each, so width + 1 of them cannot all land in the window; a zero
-    # step repeats its first term.  The cap is exact.  The ANDs run on
-    # ok.T, a step row at a time: on ok itself, numpy would buffer the
-    # views of c = 1 and c = -1 through a temporary.
-    rows = ok.T
-    for i, c in enumerate(coefs[: w + 1]):
-        j = left + xa + shift + c * ya - s.lo
-        view = np.ndarray((yb - ya, nx), bool, cells, j, (c, 1))
-        if i:
-            rows &= view
-        else:
-            rows[...] = view
+    if lo < 0 or hi > w:
+        a, b = max(lo, 0), max(lo, 0, min(hi, w))
+        cells = np.zeros(hi - lo, dtype=bool)
+        cells[a - lo : b - lo] = s.mask[a:b]
+        j -= lo
+    return [np.ndarray((yb - ya, nx), bool, cells, j + c * ya, (c, 1)) for c in coefs]
 
 
 def feasible_block(window, box, coefs: range, shift: int):
@@ -500,7 +489,7 @@ def shifted_union_2d(m: WindowSet2D, radius: int) -> WindowSet2D:
     pair; the result box is [x_lo-radius, x_hi-1) x [y_lo-radius, y_hi-1).
     """
     sq, r = _union_of_shifts(m.mask, radius), int(radius)
-    return WindowSet2D(m.x_lo - r, m.x_hi - 1, m.y_lo - r, m.y_hi - 1, sq)
+    return WindowSet2D._adopt(m.x_lo - r, m.x_hi - 1, m.y_lo - r, m.y_hi - 1, sq)
 
 
 def _union_of_shifts(mask: np.ndarray, radius: int) -> np.ndarray:

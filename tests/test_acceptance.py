@@ -265,6 +265,25 @@ def test_no_constructed_certificate_is_refused(corpus, wide_certificates):
             assert verify_fg(cert, s).passed, name
 
 
+def test_output_scale_is_the_recomputed_one(corpus, wide_certificates):
+    # fg_construct reuses the pigeonhole score as scale_out when its map is
+    # a translation, and verify_fg accepts an under-claimed scale_out, so
+    # only this and the byte pins hold that shortcut to the exact score
+    with criterion("output-scale-recomputed"):
+        built = [
+            (name, s, fg_construct(s, radius, steps))
+            for seed_corpus in (corpus, build_corpus(9173))
+            for name, s, radius, steps in seed_corpus
+        ]
+        for certs in wide_certificates.values():
+            built += certs
+        for name, s, cert in built:
+            assert cert.length_out == ps_scale_2d(cert.ap_pairs, cert.radius_2d), name
+        # both paths run: translations, and maps of stride 2 and 3
+        maps = {(cert.offset, cert.stride) for _, _, cert in built}
+        assert {(0, 1), (0, 2), (0, 3)} <= maps, maps
+
+
 def test_theorem1_on_corpus(corpus):
     with criterion("theorem1-nontrivial-ap"):
         from syndetic.windows import ps_scale_1d

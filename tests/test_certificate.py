@@ -315,6 +315,20 @@ class TestVerify:
         bad = striped_cert.with_field(class_count=striped_cert.class_count + 1)
         assert verify_fg(bad, striped_input).failed_claim == "class_count"
 
+    def test_preimage_left_of_the_feasible_block_is_not_a_progression_pair(self):
+        # the pair (3, -1) lies in s, and its preimage (2, -1) in the pair
+        # box, but row -1 keeps starts from 6 on only: its terms 2 - c for
+        # c <= span leave the union's window
+        s = WindowSet1D.from_members(0, 300, range(300))
+        cert = fg_construct(s, 2, 2).with_field(
+            ap_pairs=WindowSet2D(3, 4, -1, 0, np.ones((1, 1), bool)),
+            class_count=1, length_out=1, offset=0, stride=1, shift=1, pair_box=(0, 100, -1, 0),
+        )
+        verdict = verify_fg(cert, s)
+        assert (verdict.failed_claim, verdict.detail) == (
+            "pair_preimage", "preimage (2, -1) is not a progression pair"
+        )
+
     def test_widened_pair_box_gets_a_verdict(self, striped_cert, striped_input):
         # starts outside the union's window, and steps too long for it, hold
         # no pair; the recount skips them however wide the declared box is

@@ -1,8 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import naive
 from syndetic import pipeline
@@ -170,6 +171,84 @@ class TestColorClasses:
         pairs = progression_pairs(s, 2, 8, (10, 40, -2, 3)).pairs
         classes = color_classes(s, pairs, radius=2, span=8, steps=2)
         assert labels(classes) == naive_labels(s, pairs, 2, 8, 2)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# every (radius, steps) with a span the tests can search for: spans 1, 2,
+# 3, 8, 26 and 34
+LABEL_SHAPES = [(r, k) for r in (1, 2, 3) for k in (1, 2, 3) if (r, k) != (3, 3)]
+
+
+@st.composite
+def labelling_cases(draw):
+    """A set of width at most 48 near either end of int64 or near 0, often
+    dense so that the long spans keep pairs of nonzero step, and a pair box
+    reaching past the shifted union's window on every side (within int64)
+    and holding steps -1, 0 and 1."""
+    radius, steps = draw(st.sampled_from(LABEL_SHAPES))
+    width = draw(st.integers(1, 48) | st.integers(36, 48))
+    bit = st.sampled_from([True] * 15 + [False]) if draw(st.booleans()) else st.booleans()
+    bits = draw(st.lists(bit, min_size=width, max_size=width))
+    lo = draw(st.sampled_from([INT64_MIN, -20, INT64_MAX + 1 - width]))
+    lo += draw(st.integers(0, 3)) if lo == INT64_MIN else -draw(st.integers(0, 3))
+    s = WindowSet1D(lo, lo + width, bits)
+    x_lo = max(INT64_MIN, s.lo - radius - draw(st.integers(0, 6)))
+    x_hi = min(INT64_MAX, s.hi - 1 + draw(st.integers(0, 6)))
+    return s, radius, steps, (x_lo, x_hi, -draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+
+
+class TestLabelsAgainstTheOracle:
+    # spans 34 and 26 keep pairs of step +-1 only on long runs
+    @example((WindowSet1D(INT64_MAX - 47, INT64_MAX + 1, [True] * 48), 2, 3,
+              (INT64_MAX - 52, INT64_MAX, -2, 3)))
+    @example((WindowSet1D(-20, 28, [i % 7 != 3 for i in range(48)]), 3, 2, (-26, 30, -3, 4)))
+    @given(labelling_cases())
+    def test_each_pair_gets_its_least_verified_triple(self, case):
+        s, radius, steps, box = case
+        span = vdw_span(radius, steps).span
+        try:
+            pairs = progression_pairs(s, radius, span, box).pairs
+        except ConstructionError:
+            # a union window past the int64 end keeps no start in the box
+            _, excluded = naive.progression_pairs(members_of(s), s.lo, s.hi, radius, span, box)
+            assert excluded == (box[1] - box[0]) * (box[3] - box[2])
+            return
+        classes = color_classes(s, pairs, radius=radius, span=span, steps=steps)
+        assert all(cls.box == pairs.box for cls in classes.values())
+        assert sum(cls.count for cls in classes.values()) == pairs.count
+        assert labels(classes) == naive_labels(s, pairs, radius, span, steps)
+
+    @pytest.mark.parametrize("box", [
+        (10**12, 10**12 + 8, -2, 3),
+        (-(10**12), -(10**12) + 8, 0, 1),
+        (0, 8, 10**12 - 3, 10**12),
+        (99_990, 100_000, -(10**12), -(10**12) + 2),
+    ])
+    def test_pairs_off_the_feasible_block_are_refused_at_once(self, box):
+        # pairs that are not progression pairs, 10**12 from the window or
+        # with steps near 10**12: nothing is allocated towards them
+        s = striped_set((0, 100_000), 5, 2)
+        mask = np.zeros((box[1] - box[0], box[3] - box[2]), bool)
+        tracemalloc.start()
+        try:
+            assert color_classes(s, WindowSet2D(*box, mask), radius=2, span=8, steps=2) == {}
+            mask[-1, -1] = mask[1, 0] = True
+            with pytest.raises(ValueError, match="^2 of the pairs have a probe outside"):
+                color_classes(s, WindowSet2D(*box, mask), radius=2, span=8, steps=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_pairs_past_the_block_in_a_feasible_box_are_refused(self):
+        # the box holds progression pairs, and one more pair whose probes
+        # leave the union's window
+        s = WindowSet1D.from_members(0, 40, range(40))
+        ps = progression_pairs(s, 1, 2, (-5, 45, -1, 2))
+        mask = ps.pairs.mask.copy()
+        mask[-1, 2] = True
+        with pytest.raises(ValueError, match="^1 of the pairs have a probe outside"):
+            color_classes(s, WindowSet2D(*ps.pairs.box, mask), radius=1, span=2, steps=2)
 
 
 def naive_extract(classes, radius_2d):
@@ -380,6 +459,14 @@ class TestAffineImage:
             assert got == want
 
 
+# moves of the small 2D sets that keep them in int64, up to either end
+int64_moves = (
+    st.integers(-50, 50)
+    | st.integers(INT64_MIN + 4, INT64_MIN + 60)
+    | st.integers(INT64_MAX - 70, INT64_MAX - 10)
+)
+
+
 class TestFgConstruct:
     def test_full_window_tiny_case(self):
         s = WindowSet1D.from_members(0, 50, range(50))
@@ -398,6 +485,15 @@ class TestFgConstruct:
         s = striped_set((0, 200), 4, 2)
         cert = fg_construct(s, 2, 2)
         assert ps_scale_2d(cert.ap_pairs, cert.radius_2d) == cert.length_out
+
+    @given(sets_2d_small, st.integers(1, 4), int64_moves, int64_moves)
+    def test_output_scale_is_translation_invariant(self, m, radius, dx, dy):
+        # fg_construct reuses the pigeonhole score when its map is a
+        # translation; the moved set may sit at either end of int64
+        moved = WindowSet2D(m.x_lo + dx, m.x_hi + dx, m.y_lo + dy, m.y_hi + dy, m.mask)
+        pts = {(x + dx, y + dy) for x, y in m.points().tolist()}
+        want = naive.ps_scale_2d(pts, moved.box, radius)
+        assert ps_scale_2d(moved, radius) == ps_scale_2d(m, radius) == want
 
     def test_membership_guarantee_holds_pointwise(self):
         s = periodic_set((0, 400), 5, [0, 2, 3])

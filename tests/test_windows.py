@@ -19,6 +19,7 @@ from syndetic.windows import (
     first_member,
     is_ps_at_scale,
     max_run_length,
+    probe_block,
     progressions_in,
     ps_scale_1d,
     ps_scale_2d,
@@ -193,7 +194,8 @@ class TestProgressionsIn:
     def test_matches_naive(self, case):
         s, (x_lo, x_hi, y_lo, y_hi), coefs, shift = case
         members = set(s.members().tolist())
-        got = progressions_in(s, (x_lo, x_hi, y_lo, y_hi), coefs, shift)
+        box = (x_lo, x_hi, y_lo, y_hi)
+        got = probe_block(s, box, feasible_block((s.lo, s.hi), box, coefs, shift), coefs, shift)
         # x + shift + c*y for c in coefs is a progression in i with step coefs.step*y
         want = [
             [
@@ -214,8 +216,9 @@ class TestProgressionsIn:
         assert got[:, 2].tolist() == [x in (2, 4, 6, 8) for x in range(2, 9)]
         assert got[:, 4].tolist() == [True] + [False] * 6
         assert not got[:, [1, 3]].any()
-        assert progressions_in(s, (1, 2, 2, 3), range(4), 1)[0, 0]
-        assert not progressions_in(s, (1, 2, 2, 3), range(5), 1)[0, 0]
+        for terms, want in ((4, True), (5, False)):
+            block = feasible_block((0, 10), (1, 2, 2, 3), range(terms), 1)
+            assert probe_block(s, (1, 2, 2, 3), block, range(terms), 1)[0, 0] == want
 
     def test_terms_capped_at_width(self):
         # 10**15 terms: a nonzero step leaves the window, a zero step repeats
@@ -239,14 +242,29 @@ class TestProgressionsIn:
         try:
             block = windows.feasible_block((s.lo, s.hi), box, coefs, shift)
             ya, yb, xa, xb, _ = block
-            ok = windows.box_mask((xb - xa, yb - ya))
-            windows._probe(s, block, coefs, shift, ok)
+            ok = probe_block(s, (xa, xb, ya, yb), block, coefs, shift)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the block's rows, plus a padded copy of at most three widths
         assert ok.shape[0] < 2 * s.width and ok.shape[1] == box[3] - box[2]
         assert peak < s.width * (box[3] - box[2] + 3)
+
+    def test_views_past_the_window_copy_only_what_they_read(self):
+        # a block at the left end of a 10**6-wide set reads 3 cells past it:
+        # the views' copy holds the cells they read, not the whole set
+        s = WindowSet1D.from_members(0, 10**6, range(0, 10**6, 2))
+        tracemalloc.start()
+        try:
+            views = windows.term_views(s, (-1, 2, -3, 100, 0), range(3), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        for c, view in enumerate(views):
+            want = [[0 <= x + c * y and (x + c * y) % 2 == 0 for x in range(-3, 100)]
+                    for y in (-1, 0, 1)]
+            assert view.tolist() == want
 
 
 @st.composite
