@@ -283,7 +283,7 @@ def _read_pairs(r: Lines) -> WindowSet2D:
     rows = r.rows(check)
     mask = allocate(lambda: box_mask((bx[1] - bx[0], bx[3] - bx[2])), too_wide)
     mask[rows[:, 0] - bx[0], rows[:, 1] - bx[2]] = True
-    return WindowSet2D(*bx, mask)
+    return WindowSet2D._adopt(*bx, mask)
 
 
 def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:

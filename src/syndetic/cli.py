@@ -160,19 +160,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     params: dict = {"window": (args.window[0], args.window[1])}
-    if args.period is not None:
-        params["period"] = args.period
+    for name in ("period", "block", "gap", "density"):
+        if (value := getattr(args, name)) is not None:
+            params[name] = value
     if args.residues is not None:
         try:
             params["residues"] = [int(r) for r in args.residues.split(",") if r != ""]
         except ValueError:
             raise ValueError(f"malformed residue list {args.residues!r}") from None
-    if args.block is not None:
-        params["block"] = args.block
-    if args.gap is not None:
-        params["gap"] = args.gap
-    if args.density is not None:
-        params["density"] = args.density
     s = gen_example(args.kind, params, args.seed)
 
     def show(v):

@@ -39,7 +39,6 @@ from .windows import (
     first_member,
     is_ps_at_scale,
     max_run_length,
-    probe_block,
     progressions_in,
     ps_scale_1d,
     ps_scale_2d,
@@ -156,7 +155,9 @@ def progression_pairs(
     s: WindowSet1D, radius: int, span: int, box: tuple[int, int, int, int]
 ) -> PairSet:
     """All (start, step) pairs in the box whose probes start + i*step for
-    i = 0..span are members of the shifted union at this radius."""
+    i = 0..span are members of the shifted union at this radius.  The
+    box's ``feasible_block`` gives the refusal and the excluded count,
+    ``progressions_in`` the pairs."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
@@ -167,7 +168,7 @@ def progression_pairs(
             f"box {box} lies entirely outside the feasible probing range of "
             f"window [{u.lo}, {u.hi}) at span {span}"
         )
-    member = probe_block(u, box, block, range(span + 1), 0)
+    member = progressions_in(u, box, range(span + 1))
     pairs = WindowSet2D._adopt(x_lo, x_hi, y_lo, y_hi, member)
     excluded = (x_hi - x_lo) * (y_hi - y_lo) - block[4]
     return PairSet(pairs=pairs, boundary_excluded=excluded)

@@ -18,13 +18,15 @@ the union of shifts by 1..r marks where a side-r interval or square meets
 the set.
 
 Boundary policy: a scalar query (``WindowSet1D.contains``) outside the
-window raises :class:`WindowError`.  Box probes AND ``term_views``, one
-strided view of the set per coefficient, a term outside the window absent,
-so scans and recounts near a boundary are conservative, never optimistic.
-``feasible_block`` is the one clip of a box to the starts whose terms all
-land, their least block and number, O(1) in Python ints and exact at any
-bound: the probe, ``progression_pairs``'s excluded count, ``color_classes``
-(once per call) and the verifier (row by row via ``block_rows``) use it.
+window raises :class:`WindowError`.  ``progressions_in`` is the one box
+probe: it ANDs ``term_views``, one strided view of the set per
+coefficient, a term outside the window absent, so scans and recounts near
+a boundary are conservative, never optimistic.  Only ``color_classes``
+reads shifted terms, through ``term_views`` directly.  ``feasible_block``
+is the one clip of a box to the starts whose terms all land, their least
+block and number, O(1) in Python ints and exact at any bound: the probe,
+``progression_pairs``'s excluded count, ``color_classes`` (once per call)
+and the verifier (row by row via ``block_rows``) use it.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -47,7 +49,6 @@ __all__ = [
     "check_window",
     "fits_int64",
     "progressions_in",
-    "probe_block",
     "term_views",
     "feasible_block",
     "block_rows",
@@ -127,10 +128,39 @@ def box_mask(shape) -> np.ndarray:
     return np.zeros(shape, dtype=bool, order="F")
 
 
-class WindowSet1D:
+class _WindowSet:
+    """The body a 1D and a 2D set share: a read-only mask, and equality
+    and hashing keyed on the class's ``_extent`` (its bounds) and mask, so
+    a 1D set never equals a 2D one."""
+
+    __slots__ = ("_mask",)
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self._mask
+
+    @property
+    def count(self) -> int:
+        return int(np.count_nonzero(self._mask))
+
+    def is_empty(self) -> bool:
+        return not self._mask.any()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._extent() == other._extent() and bool(
+            np.array_equal(self._mask, other._mask)
+        )
+
+    def __hash__(self):
+        return hash((self._extent(), self._mask.tobytes()))
+
+
+class WindowSet1D(_WindowSet):
     """Subset of the integer window [lo, hi), one bit per integer."""
 
-    __slots__ = ("lo", "hi", "_mask")
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int, mask: np.ndarray):
         lo, hi = _bounds(lo, hi)
@@ -156,20 +186,12 @@ class WindowSet1D:
             arr[pts - lo] = True
         return cls(lo, hi, arr)
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask
+    def _extent(self) -> tuple[int, int]:
+        return (self.lo, self.hi)
 
     @property
     def width(self) -> int:
         return self.hi - self.lo
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self._mask))
-
-    def is_empty(self) -> bool:
-        return not self._mask.any()
 
     def members(self) -> np.ndarray:
         """All members in increasing order, as absolute integers."""
@@ -180,27 +202,15 @@ class WindowSet1D:
             raise WindowError(f"query {m} outside window [{self.lo}, {self.hi})")
         return bool(self._mask[m - self.lo])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WindowSet1D):
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and bool(np.array_equal(self._mask, other._mask))
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self._mask.tobytes()))
-
     def __repr__(self) -> str:
         return f"WindowSet1D([{self.lo}, {self.hi}), count={self.count})"
 
 
-class WindowSet2D:
+class WindowSet2D(_WindowSet):
     """Subset of the integer box [x_lo, x_hi) x [y_lo, y_hi), its mask
     indexed [x - x_lo, y - y_lo] and stored step-major."""
 
-    __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi", "_mask")
+    __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi")
 
     def __init__(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int, mask: np.ndarray):
         x_lo = _as_int("x_lo", x_lo)
@@ -229,19 +239,11 @@ class WindowSet2D:
         return self
 
     @property
-    def mask(self) -> np.ndarray:
-        return self._mask
-
-    @property
     def box(self) -> tuple[int, int, int, int]:
         return (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
 
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self._mask))
-
-    def is_empty(self) -> bool:
-        return not self._mask.any()
+    def _extent(self) -> tuple[int, int, int, int]:
+        return self.box
 
     def points(self) -> np.ndarray:
         """Members as an (n, 2) int64 array, sorted lexicographically."""
@@ -249,14 +251,6 @@ class WindowSet2D:
         idx[:, 0] += self.x_lo
         idx[:, 1] += self.y_lo
         return idx
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WindowSet2D):
-            return NotImplemented
-        return self.box == other.box and bool(np.array_equal(self._mask, other._mask))
-
-    def __hash__(self):
-        return hash((self.box, self._mask.tobytes()))
 
     def __repr__(self) -> str:
         return (
@@ -269,25 +263,20 @@ def progressions_in(s: WindowSet1D, box, coefs: range) -> np.ndarray:
     """Over the box [x_lo, x_hi) x [y_lo, y_hi) of starts x and steps y,
     whether x + c*y is a member of s for every c in the nonempty range
     coefs, as a mask indexed [x - x_lo, y - y_lo].  A term outside the
-    window is absent, and only the box's ``feasible_block`` is probed: O(1)
-    Python work and O(block area * terms) numpy work."""
-    return probe_block(s, box, feasible_block((s.lo, s.hi), box, coefs, 0), coefs, 0)
-
-
-def probe_block(s: WindowSet1D, box, block, coefs: range, shift: int) -> np.ndarray:
-    """``progressions_in``'s mask with terms x + shift + c*y, given the box's
-    ``feasible_block`` for s's window, coefs and shift, so that a caller who
-    needs the block too clips once.  At most width + 1 ``term_views`` are
-    ANDed, as distinct coefficients spread a nonzero step's terms by |y| or
-    more and a zero step repeats its first term; step row by step row, as
-    over starts numpy would buffer the views of c = +-1 through a temporary."""
+    window is absent.  Only the box's ``feasible_block`` is probed, O(1)
+    Python work and O(block area * terms) numpy work: its rows are the AND
+    of at most width + 1 ``term_views``, as distinct coefficients spread a
+    nonzero step's terms by |y| or more and a zero step repeats its first
+    term; step row by step row, as over starts numpy would buffer the views
+    of c = +-1 through a temporary."""
+    block = feasible_block((s.lo, s.hi), box, coefs, 0)
     x_lo, x_hi, y_lo, y_hi = map(int, box)
     out = box_mask((x_hi - x_lo, y_hi - y_lo))
     if block is not None:
         ya, yb, xa, xb, _ = block
         rows = out[xa - x_lo : xb - x_lo, ya - y_lo : yb - y_lo].T
         rows[...] = True
-        for view in term_views(s, block, coefs[: s.width + 1], shift):
+        for view in term_views(s, block, coefs[: s.width + 1], 0):
             rows &= view
     return out
 
@@ -296,7 +285,8 @@ def term_views(s: WindowSet1D, block, coefs: range, shift: int) -> list[np.ndarr
     """Per c in coefs, whether x + shift + c*y is in s (absent outside the
     window), as a view indexed [y - ya, x - xa] over the block (ya, yb, xa,
     xb, cells).  The views stride over the mask or, when they reach past the
-    window, over one copy of just the cells they read, absent past it."""
+    window, over one copy of just the cells they read, absent past it.
+    ``progressions_in`` reads them at shift 0; ``color_classes`` per shift."""
     ya, yb, xa, xb, _ = block
     nx, j, w = xb - xa, xa + int(shift) - s.lo, s.width
     # row y of coefficient c reads the nx cells of the mask from j + c*y on

@@ -49,6 +49,25 @@ class TestSerializeParse:
         assert parse(golden) == striped_cert
         assert serialize(striped_cert) == golden
 
+    def test_parse_adopts_the_mtilde_mask(self):
+        # the r = k = 2 certificate of a striped set with window2d widened
+        # to 2000 x 2000 cells: parse holds one mask of the box, not two
+        cert = fg_construct(striped_set((0, 200), 5, 2), 2, 2)
+        lines = serialize(cert).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("window2d "))
+        _, x_lo, _, y_lo, _ = lines[at].split()
+        lines[at] = f"window2d {x_lo} {int(x_lo) + 2000} {y_lo} {int(y_lo) + 2000}"
+        text = "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            mask = parse(text).ap_pairs.mask
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.shape == (2000, 2000) and mask.sum() == cert.ap_pairs.count
+        assert mask.flags.f_contiguous and not mask.flags.writeable
+        assert peak < 1.5 * mask.nbytes
+
     def test_empty_document(self):
         with pytest.raises(CertificateParseError, match="empty document"):
             parse("")

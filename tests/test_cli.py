@@ -528,7 +528,9 @@ class TestReproducibility:
 
 # sha256 of the gen, construct, verify and check1d documents, written before
 # rows came from one vectorized writer: negative and multi-digit fields end
-# to end, on a striped window at -2**40 and a periodic one across 0
+# to end, on a striped window at -2**40 and a periodic one across 0.  The
+# thick-blocks and random-sparse documents were taken before gen read its
+# optional numbers in one loop
 PINNED_DOCUMENTS = {
     "ps-striped": (
         ["--window", str(-(2**40)), str(-(2**40) + 10**4), "--block", "5", "--gap", "2"],
@@ -546,6 +548,24 @@ PINNED_DOCUMENTS = {
             "c.fgcert": "b8207f24a7ccf7baf1d57725d7106c0beb6d14d7bd6f72051e4b774099b1725d",
             "v.txt": "c326d6bee23d149a2671706f03e406095d5ea6f733270318a6d5bb420f8d54bf",
             "k.txt": "2a606644cc619ddf0903b5a33b591fac2c319e65796adcc9f74d7892a21556f9",
+        },
+    ),
+    "thick-blocks": (
+        ["--window", "-7000", "13000", "--block", "4700", "--gap", "3"],
+        {
+            "s.set": "667d25e63e60a354e3036fd2bb677e05a77fadff04d26cf4e07c87a94a4e1b6e",
+            "c.fgcert": "faac971b0e00afcb417eb38978213882b1dbfc845bf0662936afac080e292760",
+            "v.txt": "c326d6bee23d149a2671706f03e406095d5ea6f733270318a6d5bb420f8d54bf",
+            "k.txt": "cfb81fae434d0b59d15f3317f973f6480322fe62bff2c0a599e8916c22a1a06d",
+        },
+    ),
+    "random-sparse": (
+        ["--window", str(2**40), str(2**40 + 10**4), "--density", "0.995", "--seed", "0"],
+        {
+            "s.set": "a317982090bbd2a627f9f48057ec7fddcb0cd0b278a388e313753ffed82449f6",
+            "c.fgcert": "89435c1599ae32e3dfe7d474795375111240a42e704e2a78ce7c30cb1a722b22",
+            "v.txt": "c326d6bee23d149a2671706f03e406095d5ea6f733270318a6d5bb420f8d54bf",
+            "k.txt": "dd8d67d5ec013525d8142187d58b237944cdcdb0dc1a42c031948297f661c2a8",
         },
     ),
 }

@@ -71,6 +71,26 @@ def test_one_closed_form_clip():
     assert found == []
 
 
+def test_one_probe_and_one_set_body():
+    # windows.progressions_in is the one box probe: no probe on a given
+    # block or with a shift comes back, and the 1D and 2D sets share the
+    # members they have in common
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("probe_block", "_probe"):
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+    assert found == []
+    tree = ast.parse((SRC / "windows.py").read_text())
+    shared = ["mask", "count", "is_empty", "__eq__", "__hash__"]
+    defined = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in shared
+    ]
+    assert sorted(defined) == sorted(shared)
+
+
 def _templates(tree: ast.Module):
     """Every string literal, and every f-string with ``{}`` for each of its
     replacement fields."""

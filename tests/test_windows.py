@@ -19,7 +19,6 @@ from syndetic.windows import (
     first_member,
     is_ps_at_scale,
     max_run_length,
-    probe_block,
     progressions_in,
     ps_scale_1d,
     ps_scale_2d,
@@ -195,7 +194,8 @@ class TestProgressionsIn:
         s, (x_lo, x_hi, y_lo, y_hi), coefs, shift = case
         members = set(s.members().tolist())
         box = (x_lo, x_hi, y_lo, y_hi)
-        got = probe_block(s, box, feasible_block((s.lo, s.hi), box, coefs, shift), coefs, shift)
+        # x + c*y is in s translated by -shift iff x + shift + c*y is in s
+        got = progressions_in(WindowSet1D(s.lo - shift, s.hi - shift, s.mask), box, coefs)
         # x + shift + c*y for c in coefs is a progression in i with step coefs.step*y
         want = [
             [
@@ -216,9 +216,9 @@ class TestProgressionsIn:
         assert got[:, 2].tolist() == [x in (2, 4, 6, 8) for x in range(2, 9)]
         assert got[:, 4].tolist() == [True] + [False] * 6
         assert not got[:, [1, 3]].any()
+        moved = WindowSet1D(s.lo - 1, s.hi - 1, s.mask)
         for terms, want in ((4, True), (5, False)):
-            block = feasible_block((0, 10), (1, 2, 2, 3), range(terms), 1)
-            assert probe_block(s, (1, 2, 2, 3), block, range(terms), 1)[0, 0] == want
+            assert progressions_in(moved, (1, 2, 2, 3), range(terms))[0, 0] == want
 
     def test_terms_capped_at_width(self):
         # 10**15 terms: a nonzero step leaves the window, a zero step repeats
@@ -238,11 +238,12 @@ class TestProgressionsIn:
         # 10**18 wide costs a few copies of the window, not of the box
         s = WindowSet1D.from_members(-5_000, 5_000, range(-5_000, 5_000))
         box = (-(10**18), 10**18, -3, 4)
+        moved = WindowSet1D(s.lo - shift, s.hi - shift, s.mask)
         tracemalloc.start()
         try:
             block = windows.feasible_block((s.lo, s.hi), box, coefs, shift)
             ya, yb, xa, xb, _ = block
-            ok = probe_block(s, (xa, xb, ya, yb), block, coefs, shift)
+            ok = progressions_in(moved, (xa, xb, ya, yb), coefs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -502,6 +503,44 @@ class TestWindowSet2D:
     def test_points_sorted_lexicographically(self):
         m = WindowSet2D(*naive.points_in_box(0, 4, 0, 4, [(2, 1), (0, 3), (2, 0)]))
         assert [tuple(p) for p in m.points().tolist()] == [(0, 3), (2, 0), (2, 1)]
+
+
+# sets over a few bounds, so that equal pairs are common
+tiny_1d = st.tuples(st.integers(-2, 2), st.integers(1, 3)).flatmap(
+    lambda w: st.lists(st.booleans(), min_size=w[1], max_size=w[1]).map(
+        lambda bits: WindowSet1D(w[0], w[0] + w[1], bits)
+    )
+)
+tiny_2d = st.tuples(
+    st.integers(-1, 1), st.integers(1, 2), st.integers(-1, 1), st.integers(1, 2)
+).flatmap(
+    lambda b: st.lists(st.booleans(), min_size=b[1] * b[3], max_size=b[1] * b[3]).map(
+        lambda bits: WindowSet2D(
+            b[0], b[0] + b[1], b[2], b[2] + b[3], np.reshape(bits, (b[1], b[3]))
+        )
+    )
+)
+
+
+class TestSetEquality:
+    @given(st.one_of(tiny_1d, tiny_2d), st.one_of(tiny_1d, tiny_2d))
+    def test_equal_exactly_when_bounds_and_masks_match(self, a, b):
+        def key(s):
+            bounds = (s.lo, s.hi) if isinstance(s, WindowSet1D) else s.box
+            return type(s), bounds, s.mask.tolist()
+
+        same = key(a) == key(b)
+        assert (a == b) == same and (a != b) == (not same)
+        assert len({a, b}) == (1 if same else 2)
+        if same:
+            assert hash(a) == hash(b)
+
+    @given(tiny_1d)
+    def test_a_1d_set_never_equals_a_2d_one(self, s):
+        # the same bounds on x and the same mask bytes, one step row tall
+        flat = WindowSet2D(s.lo, s.hi, 0, 1, s.mask[:, None])
+        assert flat.mask.tobytes() == s.mask.tobytes()
+        assert s != flat and flat != s
 
 
 class TestShiftedUnion2D:
