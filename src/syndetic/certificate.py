@@ -413,7 +413,7 @@ def verify_fg(
     every = min(cert.stride, y_hi - y_lo)
     off_stride = np.ones(y_hi - y_lo, dtype=bool)
     off_stride[first::every] = False
-    hit = first_member(pairs.box, pairs.mask & off_stride)
+    hit = first_member(pairs.box, pairs.mask & off_stride) if off_stride.any() else None
     if hit is not None:
         detail = f"pair step {hit[1]} is not a multiple of stride {cert.stride}"
         return _fail("pair_preimage", detail, notes)

@@ -5,6 +5,12 @@ full configuration; re-running a command with that configuration
 reproduces the document byte for byte.  ``--workers`` is validated and
 echoed but changes neither speed nor output.
 
+Each command imports only the modules it runs: ``vdw`` loads the
+pure-Python search alone and never numpy, ``gen`` neither the certificate
+nor the pipeline, and ``verify`` not the pipeline.  The commands read the
+library names they call as attributes of this module, so a caller may
+patch them here.
+
 Exit codes: 0 success, 1 negative verdict, 2 budget exhausted,
 3 precondition failure, 64 usage error, 70 internal error.
 """
@@ -13,14 +19,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
-from .certificate import RefusalError, parse, serialize, verify_fg
-from .generators import KINDS, gen_example
-from .pipeline import ConstructionError, fg_construct
-from .textio import dump_window1d, load_window1d
+from . import KINDS
 from .vdw import DEFAULT_BUDGET, BudgetExhaustedError, dump_vdw_result, vdw_number
-from .windows import Scale, is_ps_at_scale
+
+# the library names the commands call, read as attributes of this module
+# through ``_lib`` and bound here from the package on first use
+_LAZY = frozenset({
+    "ConstructionError", "RefusalError", "Scale", "dump_window1d", "fg_construct",
+    "gen_example", "is_ps_at_scale", "load_window1d", "parse", "serialize", "verify_fg",
+})
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+_lib = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -100,7 +118,7 @@ def _emit(args, doc: str) -> None:
 
 def _load_set(path: str):
     with open(path) as f:
-        return load_window1d(f.read())
+        return _lib.load_window1d(f.read())
 
 
 def _cmd_vdw(args) -> int:
@@ -112,7 +130,7 @@ def _cmd_vdw(args) -> int:
 
 def _cmd_check1d(args) -> int:
     s = _load_set(args.input)
-    witness = is_ps_at_scale(s, Scale(args.radius, args.length))
+    witness = _lib.is_ps_at_scale(s, _lib.Scale(args.radius, args.length))
     head = _header(args, ["input", "radius", "length"])
     if witness is None:
         _emit(args, head + "ABSENT\n")
@@ -123,27 +141,31 @@ def _cmd_check1d(args) -> int:
 
 def _cmd_construct(args) -> int:
     s = _load_set(args.input)
-    cert = fg_construct(
-        s,
-        args.radius,
-        args.steps,
-        radius_2d=args.r2d,
-        budget=args.budget,
-        min_length=args.min_scale,
-    )
-    doc = _header(args, ["input", "radius", "steps", "r2d", "min_scale"]) + serialize(cert)
-    _emit(args, doc)
+    try:
+        cert = _lib.fg_construct(
+            s,
+            args.radius,
+            args.steps,
+            radius_2d=args.r2d,
+            budget=args.budget,
+            min_length=args.min_scale,
+        )
+    except _lib.ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    head = _header(args, ["input", "radius", "steps", "r2d", "min_scale"])
+    _emit(args, head + _lib.serialize(cert))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     with open(args.cert) as f:
-        cert = parse(f.read())
+        cert = _lib.parse(f.read())
     s = _load_set(args.input)
     head = _header(args, ["cert", "input"])
     try:
-        verdict = verify_fg(cert, s, vdw_budget=args.budget)
-    except RefusalError as exc:
+        verdict = _lib.verify_fg(cert, s, vdw_budget=args.budget)
+    except _lib.RefusalError as exc:
         _emit(args, head + f"REFUSED {exc}\n")
         return EXIT_PRECONDITION
     lines = [head]
@@ -168,7 +190,7 @@ def _cmd_gen(args) -> int:
             params["residues"] = [int(r) for r in args.residues.split(",") if r != ""]
         except ValueError:
             raise ValueError(f"malformed residue list {args.residues!r}") from None
-    s = gen_example(args.kind, params, args.seed)
+    s = _lib.gen_example(args.kind, params, args.seed)
 
     def show(v):
         return ",".join(str(x) for x in v) if isinstance(v, list) else v
@@ -178,7 +200,7 @@ def _cmd_gen(args) -> int:
         f"window={args.window[0]}:{args.window[1]}",
         *(f"{k}={show(v)}" for k, v in sorted(params.items()) if k != "window"),
     ]
-    doc = header + " " + " ".join(given) + "\n" + dump_window1d(s)
+    doc = header + " " + " ".join(given) + "\n" + _lib.dump_window1d(s)
     _emit(args, doc)
     return EXIT_OK
 
@@ -202,9 +224,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -221,6 +240,8 @@ def entry() -> None:
     except Exception as exc:
         # a failure main() does not map is a fault of the program, never a
         # verdict on the input
+        import traceback
+
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         code = EXIT_INTERNAL

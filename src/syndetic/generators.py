@@ -13,6 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import KINDS
 from .windows import WindowSet1D, check_window
 
 __all__ = [
@@ -23,8 +24,6 @@ __all__ = [
     "striped_set",
     "random_sparse_set",
 ]
-
-KINDS = ("periodic", "thick-blocks", "ps-striped", "random-sparse")
 
 
 def _window(params: dict) -> tuple[int, int]:

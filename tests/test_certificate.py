@@ -467,6 +467,18 @@ class TestVerify:
         assert elapsed < 0.5
         assert peak < 4 * 2**20
 
+    def test_one_off_stride_pair_fails_pair_preimage(self, striped_cert, striped_input):
+        # (1, 1) is a progression pair of the set, but its step is odd; the
+        # even step of (0, 2) is on stride
+        bad = striped_cert.with_field(
+            ap_pairs=WindowSet2D(*naive.points_in_box(0, 2, 1, 3, [(0, 2), (1, 1)])),
+            stride=2, offset=0, shift=1, length_out=0,
+        )
+        want = ("pair_preimage", "pair step 1 is not a multiple of stride 2")
+        verdict = verify_fg(bad, striped_input)
+        assert (verdict.failed_claim, verdict.detail) == want
+        assert first_probe_failure(bad, striped_input) == want
+
     def test_out_of_range_triple_fails(self, striped_cert, striped_input):
         bad = striped_cert.with_field(shift=striped_cert.radius + 1)
         assert verify_fg(bad, striped_input).failed_claim in (

@@ -627,3 +627,19 @@ PINNED_VDW_DOCUMENTS = {
 def test_vdw_documents_are_pinned(capsys, given):
     code, out, _ = run(capsys, "vdw", *given.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VDW_DOCUMENTS[given]
+
+
+# sha256 of the help texts at 80 columns, taken while the CLI still imported
+# every module up front
+PINNED_HELP = {
+    "--help": "770e2199e2d98a9dab811ba0265c76ef9e963df02483a734fc29aa3565b3b21b",
+    "gen --help": "8e5231a3e64dd8e5e312e26f9edd857dbce55cf5c5a7fa81cac26c87452c8dde",
+}
+
+
+@pytest.mark.parametrize("given", sorted(PINNED_HELP))
+def test_help_is_pinned(capsys, monkeypatch, given):
+    # argparse wraps help to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *given.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, PINNED_HELP[given])

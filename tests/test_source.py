@@ -1,8 +1,13 @@
 import ast
+import importlib
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import syndetic
 
@@ -35,11 +40,9 @@ def test_only_textio_reads_line_documents():
 
 
 def test_every_import_is_read():
-    # an import nothing reads is dead code; ``__init__`` imports to export
+    # an import nothing reads is dead code
     unread = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [
@@ -156,6 +159,26 @@ def _caller_nodes() -> list[ast.AST]:
     return [node for p in paths for node in ast.walk(ast.parse(p.read_text()))]
 
 
+# the names ``from syndetic import *`` bound when ``__init__`` imported every module
+# eagerly: the exports, then the submodules
+EXPORTS = (
+    "APIndex", "APPair", "AffineMap2D", "BudgetExhaustedError", "CertificateError",
+    "CertificateParseError", "ColorTriple", "Coloring", "ConstructionError",
+    "DEFAULT_BUDGET", "DigestMismatchError", "FgCertificate", "KINDS", "MonoAP",
+    "PSWitness1D", "PairSet", "PartitionError", "PartitionWitness", "PhiSearchError",
+    "RefusalError", "Scale", "ScalePreconditionError", "SetFormatError", "SpanResult",
+    "VdwResult", "Verdict", "WindowError", "WindowSet1D", "WindowSet2D", "affine_image",
+    "color_classes", "contains_interval", "dump_coloring", "dump_vdw_result",
+    "dump_window1d", "fg_construct", "find_mono_ap", "find_nontrivial_ap", "gen_example",
+    "is_ps_at_scale", "load_window1d", "max_run_length", "parse", "partition_extract",
+    "periodic_set", "pigeonhole_extract", "progression_pairs", "ps_scale_1d",
+    "ps_scale_2d", "random_sparse_set", "serialize", "set_digest", "shifted_union_1d",
+    "shifted_union_2d", "striped_set", "thick_blocks_set", "vdw_number", "vdw_span",
+    "verify_fg",
+)
+SUBMODULES = ("certificate", "generators", "pipeline", "textio", "vdw", "windows")
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # the library carries no code that only tests call; a def or class
     # line and the strings of an ``__all__`` list are not reads
@@ -164,13 +187,118 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for node in _caller_nodes()
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    exported = [
-        alias.asname or alias.name
-        for node in ast.parse((SRC / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    exported = ["KINDS", *syndetic._EXPORTS]
+    assert sorted(exported) == sorted(EXPORTS)
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_export_is_its_module_attribute():
+    for name, module in syndetic._EXPORTS.items():
+        assert getattr(syndetic, name) is getattr(
+            importlib.import_module(f"syndetic.{module}"), name
+        ), name
+    assert syndetic.KINDS is importlib.import_module("syndetic.generators").KINDS
+    for module in SUBMODULES:
+        assert getattr(syndetic, module) is importlib.import_module(f"syndetic.{module}")
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        syndetic.nowhere
+
+
+def test_star_import_binds_the_exports_and_submodules():
+    namespace: dict = {}
+    exec("from syndetic import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted([*EXPORTS, *SUBMODULES])
+    assert all(value is getattr(syndetic, name) for name, value in namespace.items())
+
+
+def loaded(code: str, *argv: str, cwd=None) -> list[str]:
+    """numpy and the package modules a fresh interpreter holds after
+    running ``code`` with ``argv`` as its arguments."""
+    probe = code + (
+        "\nimport sys\nprint(*sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.split('.')[0] == 'syndetic'))"
+    )
+    done = python("-c", probe, *argv, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this package."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded("import syndetic") == ["syndetic"]
+    assert loaded("from syndetic import vdw_number") == ["syndetic", "syndetic.vdw"]
+    assert loaded("import syndetic\nsyndetic.windows.WindowSet1D") == [
+        "numpy", "syndetic", "syndetic.windows"
+    ]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    from syndetic import dump_window1d, fg_construct, serialize, striped_set
+
+    where = tmp_path_factory.mktemp("documents")
+    s = striped_set((0, 200), 5, 2)
+    (where / "s.set").write_text(dump_window1d(s))
+    (where / "c.fgcert").write_text(serialize(fg_construct(s, 2, 2)))
+    return where
+
+
+# the package modules each command loads besides the package and cli, and
+# whether it loads numpy
+COMMAND_MODULES = {
+    "vdw 2 3": ({"vdw"}, False),
+    "gen ps-striped --window 0 200 --block 5 --gap 2": (
+        {"vdw", "generators", "textio", "windows"}, True
+    ),
+    "check1d s.set 2 5": ({"vdw", "textio", "windows"}, True),
+    "construct s.set 2 2": ({"vdw", "textio", "windows", "certificate", "pipeline"}, True),
+    "verify c.fgcert s.set": ({"vdw", "textio", "windows", "certificate"}, True),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_what_it_runs(documents, command):
+    got = loaded(
+        "import sys\nfrom syndetic.cli import main\n"
+        "if main(sys.argv[1:]):\n    sys.exit('command failed')",
+        *command.split(), "--out", "out.txt",
+        cwd=documents,
+    )
+    modules, numpy = COMMAND_MODULES[command]
+    want = {"syndetic", "syndetic.cli", *(f"syndetic.{m}" for m in modules)}
+    assert sorted(got) == sorted(want | ({"numpy"} if numpy else set()))
+
+
+def test_a_patch_on_cli_takes_effect_before_first_use(documents):
+    # the benchmark and the tests patch library names on cli; in a fresh
+    # process the first patch comes before the command binds the name
+    code = (
+        "import sys\nimport syndetic.cli as cli\n"
+        "def loader(text):\n    raise ValueError('patched loader')\n"
+        "cli.load_window1d = loader\n"
+        "if cli.main(sys.argv[1:]) != 64:\n    sys.exit('patch not taken')\n"
+    )
+    assert loaded(code, "check1d", "s.set", "2", "5", cwd=documents) == [
+        "syndetic", "syndetic.cli", "syndetic.vdw"
+    ]
+
+
+def test_vdw_runs_under_warnings_as_errors():
+    done = python("-W", "error", "-m", "syndetic.cli", "vdw", "2", "3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "n 9" in done.stdout.splitlines()
 
 
 def _options(tree: ast.Module):
