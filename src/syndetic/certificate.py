@@ -7,7 +7,7 @@ claim it carries is recomputable from the serialized input set alone, and
 principles using only the window-set primitives and a local van der
 Waerden recomputation.  It never calls into the pipeline module.  The
 pair box's progression pairs come from one probe of its feasible block,
-refused over 200,000 cells: more than any that ``construct`` emits.
+refused over ``PAIR_BOX_CELLS`` cells: more than ``construct`` emits.
 
 Document grammar (strict order, decimal integers, ``#`` lines ignored)::
 
@@ -58,6 +58,7 @@ import numpy as np
 from .textio import Lines, allocate, dump_rows, dump_window1d
 from .vdw import search_exceeds, vdw_number
 from .windows import (
+    PAIR_BOX_CELLS,
     Scale,
     WindowError,
     WindowSet1D,
@@ -290,25 +291,19 @@ def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
     return Verdict(passed=False, failed_claim=claim, detail=detail, notes=tuple(notes))
 
 
-# The pair box of every certificate construct emits is within
-# pipeline._auto_box's 200,000-cell cap, and so is its feasible block.
-_BLOCK_CELLS = 200_000
-
-
 def _pair_block(u: WindowSet1D, box: tuple[int, int, int, int], span: int):
-    """The box's ``feasible_block`` for the union u as a box (xa, xb, ya,
-    yb), empty if it has no cell, and its progression pairs: start + i*step
-    in u for i = 0..span.  Whatever box the certificate declares, a block
-    over _BLOCK_CELLS is refused before anything is allocated."""
+    """The box's ``feasible_block`` for the union u, empty if it has no
+    cell, and its progression pairs: start + i*step in u for i = 0..span.
+    Whatever box the certificate declares, a block over ``PAIR_BOX_CELLS``
+    is refused before anything is allocated."""
     coefs = range(span + 1)
-    ya, yb, xa, xb, _ = feasible_block((u.lo, u.hi), box, coefs, 0) or (0,) * 5
-    area = (yb - ya) * (xb - xa)
-    if area > _BLOCK_CELLS:
+    xa, xb, ya, yb = block = feasible_block((u.lo, u.hi), box, coefs, 0) or (0, 0, 0, 0)
+    area = (xb - xa) * (yb - ya)
+    if area > PAIR_BOX_CELLS:
         raise RefusalError(
             f"the pair box's feasible block has {area} cells, "
-            f"over the {_BLOCK_CELLS} the verifier probes"
+            f"over the {PAIR_BOX_CELLS} the verifier probes"
         )
-    block = (xa, xb, ya, yb)
     return block, progressions_in(u, block, coefs)
 
 
@@ -333,8 +328,8 @@ def verify_fg(
     8. class_count   -- the pair set's cardinality matches
 
     A digest or window mismatch raises DigestMismatchError, and a pair box
-    whose feasible block is over 200,000 cells RefusalError, its base,
-    instead of returning a verdict.
+    whose feasible block is over ``PAIR_BOX_CELLS`` cells RefusalError, its
+    base, instead of returning a verdict.
     """
     if (cert.lo, cert.hi) != (s.lo, s.hi):
         raise DigestMismatchError(

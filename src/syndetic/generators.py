@@ -101,7 +101,10 @@ def random_sparse_set(window: tuple[int, int], density: float, seed: int) -> Win
     density = float(density)
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    rng = np.random.default_rng(int(seed))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     mask = rng.random(hi - lo) < density
     return WindowSet1D(lo, hi, mask)
 

@@ -30,9 +30,11 @@ from .vdw import (
     vdw_span,
 )
 from .windows import (
+    PAIR_BOX_CELLS,
     Scale,
     WindowSet1D,
     WindowSet2D,
+    block_rows,
     box_mask,
     contains_interval,
     feasible_block,
@@ -155,23 +157,25 @@ def progression_pairs(
     s: WindowSet1D, radius: int, span: int, box: tuple[int, int, int, int]
 ) -> PairSet:
     """All (start, step) pairs in the box whose probes start + i*step for
-    i = 0..span are members of the shifted union at this radius.  The
-    box's ``feasible_block`` gives the refusal and the excluded count,
-    ``progressions_in`` the pairs."""
+    i = 0..span are members of the shifted union at this radius.  A box
+    whose ``feasible_block`` is None is refused before anything is
+    allocated; ``progressions_in`` gives the pairs, and the pairs of the
+    box off its ``block_rows`` are the excluded ones."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
     x_lo, x_hi, y_lo, y_hi = (int(v) for v in box)
     u = shifted_union_1d(s, radius)
-    block = feasible_block((u.lo, u.hi), box, range(span + 1), 0)
-    if block is None:
+    window, coefs = (u.lo, u.hi), range(span + 1)
+    if feasible_block(window, box, coefs, 0) is None:
         raise ConstructionError(
             f"box {box} lies entirely outside the feasible probing range of "
             f"window [{u.lo}, {u.hi}) at span {span}"
         )
-    member = progressions_in(u, box, range(span + 1))
+    member = progressions_in(u, box, coefs)
     pairs = WindowSet2D._adopt(x_lo, x_hi, y_lo, y_hi, member)
-    excluded = (x_hi - x_lo) * (y_hi - y_lo) - block[4]
-    return PairSet(pairs=pairs, boundary_excluded=excluded)
+    # the rows are at most the mask's, which progressions_in has sized
+    kept = sum(b - a for _, a, b in block_rows(window, box, coefs, 0))
+    return PairSet(pairs=pairs, boundary_excluded=pairs.mask.size - kept)
 
 
 def color_classes(
@@ -195,7 +199,7 @@ def color_classes(
     """
     x_lo, _, y_lo, _ = box = pairs.box
     block = feasible_block((s.lo - radius, s.hi - 1), box, range(span + 1), 0)
-    ya, yb, xa, xb, _ = block or (y_lo, y_lo, x_lo, x_lo, 0)
+    xa, xb, ya, yb = block = block or (x_lo, x_lo, y_lo, y_lo)
     inside = (slice(xa - x_lo, xb - x_lo), slice(ya - y_lo, yb - y_lo))
     rows = np.array(pairs.mask[inside].T)
     if strays := pairs.count - int(np.count_nonzero(rows)):
@@ -219,7 +223,7 @@ def color_classes(
                 rows ^= ok
                 if not rows.any():
                     break
-    hit = first_member((xa, xb, ya, yb), rows.T)
+    hit = first_member(block, rows.T)
     if hit is not None:
         raise PhiSearchError(
             "no verified triple for pair ({}, {}); span {} is not a valid "
@@ -293,11 +297,11 @@ def affine_image(m: WindowSet2D, amap: AffineMap2D) -> WindowSet2D:
 
 
 def _auto_box(run_start: int, run_len: int, span: int) -> tuple[int, int, int, int]:
-    """Box over the run starting at run_start: at most 200,000 cells, with
-    step rows within +-16."""
+    """Box over the run starting at run_start: at most ``PAIR_BOX_CELLS``
+    cells, with step rows within +-16."""
     half = max(1, min(16, (run_len - 1) // (2 * max(span, 1))))
     rows = 2 * half + 1
-    width = max(1, min(run_len, 200_000 // rows))
+    width = max(1, min(run_len, PAIR_BOX_CELLS // rows))
     return (run_start, run_start + width, -half, half + 1)
 
 
@@ -327,11 +331,12 @@ def fg_construct(
 
     radius_2d defaults to the computed span, which bounds how far the
     affine map distorts shifts.  The certified box is always a window over
-    the leftmost longest run of the shifted union, capped at 200,000 cells
-    with step rows within +-16.  To certify another box, run the public
-    stages on it (progression_pairs, color_classes, pigeonhole_extract,
-    affine_image).  scale_out is the chosen class's pigeonhole score when
-    its map is a translation (offset 0, stride 1), else the image's.
+    the leftmost longest run of the shifted union, capped at
+    ``PAIR_BOX_CELLS`` cells with step rows within +-16.  To certify another
+    box, run the public stages on it (progression_pairs, color_classes,
+    pigeonhole_extract, affine_image).  scale_out is the chosen class's
+    pigeonhole score when its map is a translation (offset 0, stride 1),
+    else the image's.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")

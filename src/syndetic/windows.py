@@ -24,9 +24,9 @@ coefficient, a term outside the window absent, so scans and recounts near
 a boundary are conservative, never optimistic.  Only ``color_classes``
 reads shifted terms, through ``term_views`` directly.  ``feasible_block``
 is the one clip of a box to the starts whose terms all land, their least
-block and number, O(1) in Python ints and exact at any bound: the probe,
-``progression_pairs``'s excluded count, ``color_classes`` (once per call)
-and the verifier (row by row via ``block_rows``) use it.
+sub-box, O(1) in Python ints and exact at any bound: the probe,
+``progression_pairs``'s refusal, ``color_classes`` (once per call) and
+the verifier use it, and ``block_rows`` walks its rows one at a time.
 
 All set values are immutable after construction and every operation is a
 pure function, so concurrent reads are safe.
@@ -40,6 +40,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "PAIR_BOX_CELLS",
     "WindowError",
     "Scale",
     "PSWitness1D",
@@ -62,6 +63,10 @@ __all__ = [
     "shifted_union_2d",
     "ps_scale_2d",
 ]
+
+
+# construct's pair boxes fit in this many cells; the verifier refuses more
+PAIR_BOX_CELLS = 200_000
 
 
 class WindowError(ValueError):
@@ -273,7 +278,7 @@ def progressions_in(s: WindowSet1D, box, coefs: range) -> np.ndarray:
     x_lo, x_hi, y_lo, y_hi = map(int, box)
     out = box_mask((x_hi - x_lo, y_hi - y_lo))
     if block is not None:
-        ya, yb, xa, xb, _ = block
+        xa, xb, ya, yb = block
         rows = out[xa - x_lo : xb - x_lo, ya - y_lo : yb - y_lo].T
         rows[...] = True
         for view in term_views(s, block, coefs[: s.width + 1], 0):
@@ -283,11 +288,12 @@ def progressions_in(s: WindowSet1D, box, coefs: range) -> np.ndarray:
 
 def term_views(s: WindowSet1D, block, coefs: range, shift: int) -> list[np.ndarray]:
     """Per c in coefs, whether x + shift + c*y is in s (absent outside the
-    window), as a view indexed [y - ya, x - xa] over the block (ya, yb, xa,
-    xb, cells).  The views stride over the mask or, when they reach past the
-    window, over one copy of just the cells they read, absent past it.
-    ``progressions_in`` reads them at shift 0; ``color_classes`` per shift."""
-    ya, yb, xa, xb, _ = block
+    window), as a view indexed [y - ya, x - xa] over the nonempty block, a
+    box (xa, xb, ya, yb).  The views stride over the mask or, when they
+    reach past the window, over one copy of just the cells they read, absent
+    past it.  ``progressions_in`` reads them at shift 0; ``color_classes``
+    per shift."""
+    xa, xb, ya, yb = block
     nx, j, w = xb - xa, xa + int(shift) - s.lo, s.width
     # row y of coefficient c reads the nx cells of the mask from j + c*y on
     first = [j + c * y for c in (coefs[0], coefs[-1]) for y in (ya, yb - 1)]
@@ -302,39 +308,30 @@ def term_views(s: WindowSet1D, block, coefs: range, shift: int) -> list[np.ndarr
 
 
 def feasible_block(window, box, coefs: range, shift: int):
-    """The least block (ya, yb, xa, xb, cells) of the box [x_lo, x_hi) x
-    [y_lo, y_hi) that holds every start x of every step row y whose terms
-    x + shift + c*y, c in the nonempty range coefs, all land in the window
-    [lo, hi); ``cells`` is the number of such (x, y).  None if there is
-    none.  In Python ints and O(1), so exact at any bound.
+    """The least sub-box (xa, xb, ya, yb) of the box [x_lo, x_hi) x [y_lo,
+    y_hi) that holds every start x of every step row y whose terms x +
+    shift + c*y, c in the nonempty range coefs, all land in the window
+    [lo, hi); None if there is none.  In Python ints and O(1), so exact at
+    any bound.
 
     On each half-line of steps (y >= 0 and y < 0) the least and greatest
     terms come from fixed coefficients cm and cM, so a row keeps a start
     under linear cuts in y, and the rows form one interval: a row's lower
-    end is convex in y and its upper end concave.  Their least lower and
-    greatest upper end lie at the interval's ends or at y = 0, and the
-    cells are sums of arithmetic series, split where a clamp to the box's
-    start range takes over.
+    end is convex in y and its upper end concave, so their least lower and
+    greatest upper end lie at the interval's ends or at y = 0.
     """
     L, H, x_lo, x_hi, y_lo, y_hi, c0, c1 = _clip_terms(window, box, coefs, shift)
     if x_lo >= x_hi:
         return None
     # the rows of each half that keep a start, lower half first; when both
     # keep one they meet at y = 0, as the rows form one interval
-    spans, cells = [], 0
+    spans = []
     for ya, yb, cm, cM in ((y_lo, min(y_hi, 0), c1, c0), (max(y_lo, 0), y_hi, c0, c1)):
         # L - cm*y < x_hi, x_lo < H - cM*y and L - cm*y < H - cM*y
         for k, m in ((-cm, x_hi - L - 1), (cM, H - x_lo - 1), (cM - cm, H - L - 1)):
             ya, yb = _rows_where(k, m, ya, yb)
         if ya < yb:
             spans += (ya, yb)
-            # the sum of min(x_hi, H - cM*y) - max(x_lo, L - cm*y), with
-            # each clamp's excess taken back on the rows where it holds
-            cells += (
-                _line_sum(H - L, cm - cM, ya, yb)
-                + _line_sum(x_hi - H, cM, *_rows_where(cM, H - x_hi, ya, yb))
-                - _line_sum(x_lo - L, cm, *_rows_where(-cm, x_lo - L, ya, yb))
-            )
     if not spans:
         return None
     ya, yb = spans[0], spans[-1]
@@ -342,19 +339,18 @@ def feasible_block(window, box, coefs: range, shift: int):
         _row_ends(y, L, H, x_lo, x_hi, c0, c1)
         for y in (ya, min(max(ya, 0), yb - 1), yb - 1)
     ]
-    return ya, yb, min(ends)[0], max(b for _, b in ends), cells
+    return min(a for a, _ in ends), max(b for _, b in ends), ya, yb
 
 
 def block_rows(window, box, coefs: range, shift: int):
     """(y, a, b) for each step row y of the box's ``feasible_block``: a <=
-    x < b are the starts whose terms all land, by the per-row rule that
-    the block sums, and every row of the block keeps one.  Lazy, so a tall
-    block builds no list."""
+    x < b are the starts whose terms all land, and every row of the block
+    keeps one.  Lazy, so a tall block builds no list."""
     block = feasible_block(window, box, coefs, shift)
     if block is None:
         return
     L, H, x_lo, x_hi, _, _, c0, c1 = _clip_terms(window, box, coefs, shift)
-    for y in range(block[0], block[1]):
+    for y in range(block[2], block[3]):
         yield (y, *_row_ends(y, L, H, x_lo, x_hi, c0, c1))
 
 
@@ -384,13 +380,6 @@ def _rows_where(k: int, m: int, ya: int, yb: int) -> tuple[int, int]:
     elif m < 0:
         yb = ya
     return ya, yb
-
-
-def _line_sum(p: int, q: int, ya: int, yb: int) -> int:
-    """The sum of p + q*y over the rows y of [ya, yb)."""
-    n = max(0, yb - ya)
-    # n and ya + yb - 1 differ in parity, so their product is even
-    return n * p + q * (n * (ya + yb - 1) // 2)
 
 
 def first_member(box, mask: np.ndarray) -> tuple[int, int] | None:

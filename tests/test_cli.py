@@ -432,6 +432,13 @@ class TestGenCommand:
             )
         assert Path(a).read_bytes() != Path(b).read_bytes()
 
+    def test_negative_seed_exit_usage(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "random-sparse", "--window", "0", "50",
+            "--density", "0.5", "--seed", "-1",
+        )
+        assert (code, out, err) == (64, "", "error: seed must be >= 0, got -1\n")
+
     def test_bad_params_exit_usage(self, capsys):
         code, _, err = run(
             capsys, "gen", "random-sparse", "--window", "0", "20", "--density", "1.5"

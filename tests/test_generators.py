@@ -93,6 +93,11 @@ def test_invalid_params_rejected(kind, params):
         gen_example(kind, params, 0)
 
 
+def test_negative_seed_named():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        random_sparse_set((0, 50), 0.5, -1)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown generator kind"):
         gen_example("mystery", {"window": (0, 10)}, 0)

@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,30 @@ class TestProgressionPairs:
         s = WindowSet1D.from_members(0, 10, range(10))
         with pytest.raises(ConstructionError, match="outside the feasible"):
             progression_pairs(s, 1, 3, (500, 520, 1, 5))
+
+    def test_excluded_count_over_a_tall_box(self):
+        # 300 step rows over a 100-wide set: only the rows within about
+        # +-33 keep a start, so the walk covers a fifth of the box's rows
+        s = striped_set((0, 100), 4, 3)
+        box = (-10, 110, -150, 150)
+        got = progression_pairs(s, 2, 3, box)
+        want, excluded = naive.progression_pairs(members_of(s), 0, 100, 2, 3, box)
+        assert set(map(tuple, got.pairs.points().tolist())) == want
+        assert got.boundary_excluded == excluded
+
+    def test_tall_unreachable_box_refused_at_once(self):
+        # 2 * 10**12 step rows: refused before a mask or a row walk
+        s = WindowSet1D.from_members(0, 10, range(10))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ConstructionError, match="outside the feasible"):
+                progression_pairs(s, 1, 3, (500, 520, -(10**12), 10**12))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 64 * 1024
 
 
 def naive_labels(s, pairs, radius, span, steps):

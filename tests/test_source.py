@@ -74,6 +74,18 @@ def test_one_closed_form_clip():
     assert found == []
 
 
+def test_pair_box_cap_is_stated_once():
+    # windows.PAIR_BOX_CELLS is the one statement of the 200,000-cell cap
+    # that construct sizes its boxes by and the verifier refuses past
+    found = [
+        f"{path.name}: {line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        for _ in re.findall(r"\b200[_,]?000\b", line)
+    ]
+    assert found == ["windows.py: PAIR_BOX_CELLS = 200_000"]
+
+
 def test_one_probe_and_one_set_body():
     # windows.progressions_in is the one box probe: no probe on a given
     # block or with a shift comes back, and the 1D and 2D sets share the

@@ -242,8 +242,7 @@ class TestProgressionsIn:
         tracemalloc.start()
         try:
             block = windows.feasible_block((s.lo, s.hi), box, coefs, shift)
-            ya, yb, xa, xb, _ = block
-            ok = progressions_in(moved, (xa, xb, ya, yb), coefs)
+            ok = progressions_in(moved, block, coefs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,7 +256,7 @@ class TestProgressionsIn:
         s = WindowSet1D.from_members(0, 10**6, range(0, 10**6, 2))
         tracemalloc.start()
         try:
-            views = windows.term_views(s, (-1, 2, -3, 100, 0), range(3), 0)
+            views = windows.term_views(s, (-3, 100, -1, 2), range(3), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,13 +319,35 @@ class TestFeasibleBlock:
             return
         ya, yb = rows[0][0], rows[-1][0] + 1
         xa, xb = min(a for _, a, _ in rows), max(b for _, _, b in rows)
-        assert got == (ya, yb, xa, xb, sum(b - a for _, a, b in rows))
+        assert got == (xa, xb, ya, yb)
         # the per-row rule gives each of the block's rows its starts
         assert list(block_rows(window, box, coefs, shift)) == rows
 
+    @given(clip_cases(), st.data())
+    def test_block_is_a_box(self, case, data):
+        # the probe of a box marks nothing off its block, and on the block
+        # it is the probe of the block itself; the set is moved by the
+        # shift, so the probe's window is the clip's at shift 0
+        (lo, hi), box, coefs, shift = case
+        bits = data.draw(st.lists(st.booleans(), min_size=hi - lo, max_size=hi - lo))
+        moved = WindowSet1D(lo - shift, hi - shift, bits)
+        got = progressions_in(moved, box, coefs)
+        block = feasible_block((lo, hi), box, coefs, shift)
+        if block is None:
+            assert not got.any()
+            return
+        xa, xb, ya, yb = block
+        inside = got[xa - box[0] : xb - box[0], ya - box[2] : yb - box[2]]
+        assert np.count_nonzero(inside) == np.count_nonzero(got)
+        assert np.array_equal(inside, progressions_in(moved, block, coefs))
+        # on the full set the block's edge rows and starts each hold a pair
+        full = WindowSet1D(moved.lo, moved.hi, np.ones(hi - lo, dtype=bool))
+        ok = progressions_in(full, block, coefs)
+        assert ok[0].any() and ok[-1].any() and ok[:, 0].any() and ok[:, -1].any()
+
     def test_tall_box_costs_constant_time_and_memory(self):
         # a pair box 2 * 10**12 steps tall over a 200,000-wide window: the
-        # block and its cells come without a per-row pass
+        # block comes without a per-row pass
         box = (0, 200_000, -(10**12), 10**12)
         tracemalloc.start()
         try:
@@ -337,12 +358,13 @@ class TestFeasibleBlock:
         finally:
             tracemalloc.stop()
         assert elapsed < 0.01 and peak < 64 * 1024
-        assert block[:4] == (-99_999, 100_000, 0, 200_000)
+        assert block == (0, 200_000, -99_999, 100_000)
         # on a 2,000-wide copy the rows past +-999 keep no start, so the
         # oracle walks only the rows within +-2,000
         small = feasible_block((0, 2_000), (0, 2_000, -(10**12), 10**12), range(3), 0)
         rows = naive.feasible_rows((0, 2_000), (0, 2_000, -2_000, 2_000), range(3), 0)
-        assert small[4] == sum(b - a for _, a, b in rows)
+        xa, xb = min(a for _, a, _ in rows), max(b for _, _, b in rows)
+        assert small == (xa, xb, rows[0][0], rows[-1][0] + 1)
 
 
 class TestContainsInterval:
