@@ -21,11 +21,15 @@ A node is one bit test.  Per color the search keeps an int of forbidden
 positions: placing color c at i forbids i + d for each step d whose terms
 i - d, .., i - (terms - 2)d all have color c.  Those steps are one AND of
 residue-class masks of c, shifted so that step d lands at bit d, so a
-placement costs O(terms) int operations.  Backtracking restores the
-forbidden int from an undo stack, which holds O(depth**2) bits:
-``syndetic vdw 2 21 --budget 10000`` reaches depth 8,121 in about 0.3 s
-at 37 MB peak RSS on a 2-vCPU Xeon, 0.09 s of it the search and 7 ms the
-final ``find_mono_ap`` check.
+placement costs O(terms) int operations.  A per-position plan names the
+slots of each position's classes, and each class keeps the shift of its
+next position, so no node divides.  Backtracking restores the forbidden
+int from an undo stack: the search holds O(depth**2) bits there plus
+O(colors * top * terms) pointers in its plan and classes, where top < 2 *
+depth, and none of the latter until top reaches terms - 2.
+``syndetic vdw 2 21 --budget 10000`` reaches depth 8,121 in about 0.12 s
+in-process at 22 MB peak RSS on a shared 2-vCPU Xeon, 0.08 s of it the
+search and 8 ms the final ``find_mono_ap`` check.
 
 Budgets are node counts -- one node per attempted color placement.  A
 result with ``exhaustive=False`` only certifies the lower bound given by
@@ -35,6 +39,7 @@ its extremal coloring; no literature value is ever substituted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice, repeat
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -229,24 +234,38 @@ def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]
     bad[c] has bit p set when color c at position p would end a
     progression whose other terms are placed, so a node is one bit test.
     Placing c at i forbids i + d for each step d with i - d, .., i - (terms
-    - 2)d all of color c.  Those steps come from the residue classes:
-    classes[c][k - 1][r] holds each position p = r (mod k) of color c at
-    bit top - p // k, so shifting class i % k right by top - i // k puts
-    position i - k*d at bit d, and the steps are the bits >= 1 of the AND
-    over k = 1 .. terms - 2.  With two terms there are no classes, and
-    every later position is forbidden.  Backtracking XORs the class bits
-    out and pops bad[c] and the color limit; the stack of saved bad[c]
-    holds O(depth**2) bits.  best is copied from seq only when the walk
-    leaves, or stops at, the first prefix of a new depth, so a placement
-    costs O(terms) int operations."""
-    classes = [[[0] * k for k in range(1, terms - 1)] for _ in range(colors + 1)]
+    - 2)d all of color c.  Those steps come from the residue classes of
+    the steps k = 1 .. terms - 2: classes[c][slot] holds each position p =
+    r (mod k) of color c in class (k, r) at bit top - p // k, so shifting
+    it right by top - i // k puts position i - k*d at bit d, and the steps
+    are the bits >= 1 of the AND over the classes of i.  With two terms
+    there are no classes, and every later position is forbidden.
+
+    No node divides.  Slot 0 is step 1, whose shift is top - i.  Each
+    class (k, r) of a step k >= 2 has a slot of its own, plan[i] lists the
+    slots of position i's classes, and shift[slot] is top - q // k for the
+    next position q the walk places in that class: a placement reads and
+    lowers it, and an undo raises it and XORs the bit out.  The classes are
+    kept only from the re-anchor at which top reaches terms - 2, and are
+    then filled from the placed positions: before it no position i <= top
+    has a step d >= 1 with i - (terms - 2)d >= 0, so no placement forbids
+    anything.  The classes and the plan, extended at each re-anchor, hold
+    O(colors * top * terms) pointers however far terms exceeds the depth.
+
+    Backtracking pops (color, bad[color], color limit) off one stack, whose
+    saved bad[c] hold O(depth**2) bits.  best is copied from it only when
+    the walk leaves, or stops at, the first prefix of a new depth."""
+    classes: list[list[int]] = [[] for _ in range(colors + 1)]
+    shift: list[int] = []
+    rows: list[list[int]] = []  # rows[k - 1]: the slots of step k's classes
+    plan: list[tuple[int, ...]] = []
+    # the AND while no class is kept
+    unkept = -2 if terms == 2 else 0
     top = 0
     bad = [0] * (colors + 1)
-    seq: list[int] = []
-    saved_bad: list[int] = []
-    saved_limit: list[int] = []
+    stack: list[tuple[int, int, int]] = []
     best: list[int] = []
-    i = 0  # len(seq), the position tried next
+    i = 0  # len(stack), the position tried next
     c = 1  # the next color to try at position i
     limit = 1  # the largest color position i may take
     nodes = 0
@@ -254,48 +273,78 @@ def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]
 
     while True:
         if c > limit:
-            if not seq:
+            if not stack:
                 break
             if i > len(best):
                 # the walk leaves the first prefix of a new depth
-                best = seq.copy()
-            prev = seq.pop()
+                best = [e[0] for e in stack]
+            prev, bad[prev], limit = stack.pop()
             i -= 1
-            for k, row in enumerate(classes[prev], 1):
-                row[i % k] ^= 1 << top - i // k
-            bad[prev] = saved_bad.pop()
-            limit = saved_limit.pop()
+            cl = classes[prev]
+            if cl:
+                cl[0] ^= 1 << top - i
+                for s in plan[i]:
+                    sh = shift[s] + 1
+                    shift[s] = sh
+                    cl[s] ^= 1 << sh
             c = prev + 1
             continue
         if nodes >= budget:
             exhausted = True
             break
         nodes += 1
-        if bad[c] >> i & 1:
+        b = bad[c]
+        if b >> i & 1:
             c += 1
             continue
         if i > top:
             # re-anchor the class masks past top
-            for rows in classes:
-                for row in rows:
-                    row[:] = [m << top + 1 for m in row]
-            top = 2 * top + 1
-        acc = -2
-        for k, row in enumerate(classes[c], 1):
-            r = i % k
-            shift = top - i // k
-            acc &= row[r] >> shift
-            row[r] |= 1 << shift
-        saved_bad.append(bad[c])
-        bad[c] |= acc << i
-        saved_limit.append(limit)
-        seq.append(c)
+            d = top + 1
+            for cl in classes:
+                cl[:] = [m << d for m in cl]
+            shift[:] = [s + d for s in shift]
+            top += d
+            if not rows and top >= terms - 2 > 0:
+                for k in range(1, terms - 1):
+                    rows.append(list(range(len(shift), len(shift) + k)))
+                    shift += [top] * k
+                for cl in classes:
+                    cl += [0] * len(shift)
+                for p, (pc, _, _) in enumerate(stack):
+                    cl = classes[pc]
+                    for row in rows:
+                        s = row[p % len(row)]
+                        cl[s] |= 1 << top - p // len(row)
+                        shift[s] -= 1
+            if rows:
+                # position p's slot of step k is rows[k - 1][p % k]
+                n = top + 1 - len(plan)
+                columns = [
+                    islice(cycle(row), len(plan) % len(row), None) for row in rows[1:]
+                ]
+                plan += islice(zip(*columns), n) if columns else repeat((), n)
+        cl = classes[c]
+        if cl:
+            sh = top - i
+            m = cl[0]
+            acc = m >> sh & -2
+            cl[0] = m | 1 << sh
+            for s in plan[i]:
+                sh = shift[s]
+                m = cl[s]
+                acc &= m >> sh
+                cl[s] = m | 1 << sh
+                shift[s] = sh - 1
+        else:
+            acc = unkept
+        stack.append((c, b, limit))
+        bad[c] = b | acc << i
         i += 1
         if c == limit < colors:
             limit += 1
         c = 1
     if i > len(best):
-        best = seq.copy()
+        best = [e[0] for e in stack]
     return best, nodes, exhausted
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import naive
 from syndetic import vdw
@@ -23,6 +24,51 @@ from syndetic.vdw import (
 W33_EXTREMAL = (
     1, 1, 2, 2, 1, 1, 2, 3, 2, 3, 3, 1, 3, 1, 1, 2, 1, 2, 2, 3, 1, 3, 3, 2, 3, 2,
 )
+
+# REANCHOR_BUDGETS[(colors, terms)][j] is the budget whose last node first
+# places position 2**j, where top re-anchors and the search's plan grows.
+# A shape stops short where its walk never places 2**j: (2, 3), (3, 3) and
+# (2, 4) have no such position, and (4, 3) places 64 only past a million
+# nodes
+REANCHOR_BUDGETS = {
+    (2, 3): (2, 4, 6),
+    (2, 4): (2, 3, 6, 11, 39, 112),
+    (2, 5): (2, 3, 6, 10, 20, 240, 3565),
+    (2, 6): (2, 3, 5, 10, 20, 67, 111),
+    (2, 7): (2, 3, 5, 10, 19, 37, 161),
+    (3, 3): (2, 4, 6, 16, 29),
+    (3, 4): (2, 3, 6, 11, 24, 54, 234),
+    (3, 5): (2, 3, 6, 10, 20, 45, 90),
+    (3, 6): (2, 3, 5, 10, 20, 44, 89),
+    (3, 7): (2, 3, 5, 10, 19, 37, 82),
+    (4, 3): (2, 4, 6, 16, 29, 748),
+    (4, 4): (2, 3, 6, 11, 24, 54, 116),
+    (4, 5): (2, 3, 6, 10, 20, 45, 90),
+    (4, 6): (2, 3, 5, 10, 20, 44, 89),
+    (4, 7): (2, 3, 5, 10, 19, 37, 82),
+}
+
+
+def at_reanchor_budgets(test):
+    """Give ``test`` each re-anchoring budget, and the budget past it, as
+    an explicit example."""
+    for (colors, terms), budgets in REANCHOR_BUDGETS.items():
+        for b in budgets:
+            test = example(colors, terms, b)(test)
+            test = example(colors, terms, b + 1)(test)
+    return test
+
+
+# sha256 of dump_vdw_result(vdw_number(colors, terms, budget)) for capped
+# searches deeper than the naive walk is fuzzed
+CAPPED_PINS = {
+    (2, 5, 200_000): "312235236226fae3dc777e7db1a541211c7fece337bb3e0f28bebf6e514147c3",
+    (3, 4, 100_000): "5d27b60be1c9b4e039ef300d4cab332bab7004689cae5829bd9dc1e8637a62a4",
+    (4, 3, 100_000): "b41b3d924051858d90f3769b56334d8bc77e0aa6509b8e0f57cad1222c5f7f66",
+    (2, 21, 10_000): "f7ad2866b72c6a6a0325cce82a619062dc6ed7f73c481ad553709a20d4c8cdc0",
+    # the benchmark's capped W(2, 5): n 177
+    (2, 5, 2_000_000): "b964101342636f2bf689021c7bed37f45d23886fbd49c05c7caf15fdffb413be",
+}
 
 colorings = st.builds(
     lambda r, vals: Coloring(tuple(v % r + 1 for v in vals), r),
@@ -183,9 +229,16 @@ class TestRestrictedGrowth:
         assert vdw_number(10, 2).budget_spent <= 100
 
     @given(st.integers(2, 4), st.integers(2, 7), st.integers(1, 5_000))
+    @at_reanchor_budgets
     def test_search_matches_naive_walk(self, colors, terms, budget):
         best, nodes, exhausted = vdw._search(colors, terms, budget)
         assert (best, nodes, exhausted) == naive.vdw_search(colors, terms, budget)
+
+    def test_reanchor_budgets_first_place_their_positions(self):
+        for (colors, terms), budgets in REANCHOR_BUDGETS.items():
+            for j, b in enumerate(budgets):
+                assert len(naive.vdw_search(colors, terms, b - 1)[0]) == 2**j
+                assert len(naive.vdw_search(colors, terms, b)[0]) == 2**j + 1
 
     @given(st.integers(3, 4), st.integers(3, 4), st.integers(1, 20_000))
     def test_budget_limited_colorings_grow_by_one(self, colors, terms, budget):
@@ -206,6 +259,33 @@ class TestRestrictedGrowth:
             tracemalloc.stop()
         assert (res.n, res.exhaustive, res.budget_spent) == (1707, False, 2000)
         assert peak < 2_000_000
+
+    def test_classes_are_allocated_on_first_use(self):
+        # 10 nodes of W(2, 3000) reach depth 10; allocating every step's
+        # residue classes before the first node took 1.9 s and a 109 MB
+        # peak on a 2-vCPU Xeon
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            res = vdw_number(2, 3000, 10)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.n, res.exhaustive, res.budget_spent) == (11, False, 10)
+        assert peak < 2_000_000
+        assert elapsed < 0.5
+
+
+class TestCappedSearches:
+    @pytest.mark.parametrize("colors, terms, budget", list(CAPPED_PINS))
+    def test_result_document_is_pinned(self, colors, terms, budget):
+        res = vdw_number(colors, terms, budget)
+        assert not res.exhaustive
+        text = vdw.dump_vdw_result(res)
+        assert hashlib.sha256(text.encode()).hexdigest() == CAPPED_PINS[
+            (colors, terms, budget)
+        ]
 
 
 class TestOneColor:
