@@ -287,10 +287,6 @@ def _read_pairs(r: Lines) -> WindowSet2D:
     return WindowSet2D._adopt(*bx, mask)
 
 
-def _fail(claim: str, detail: str, notes: list[str]) -> Verdict:
-    return Verdict(passed=False, failed_claim=claim, detail=detail, notes=tuple(notes))
-
-
 def _pair_block(u: WindowSet1D, box: tuple[int, int, int, int], span: int):
     """The box's ``feasible_block`` for the union u, empty if it has no
     cell, and its progression pairs: start + i*step in u for i = 0..span.
@@ -312,8 +308,8 @@ def verify_fg(
 ) -> Verdict:
     """Re-derive every claim of the certificate from the input set alone.
 
-    Claims are checked in a fixed order and the verdict names the first
-    violation:
+    Claims are checked in a fixed order, one stream of (claim, detail)
+    pairs from ``_claims``, and the verdict names the first violation:
 
     1. input_scale   -- the input is piecewise syndetic at (r, scale_in)
     2. ap_membership -- every pair (a, d) satisfies a + i*d in S, i <= k
@@ -327,9 +323,11 @@ def verify_fg(
     7. pair_count    -- brute recount over the box matches
     8. class_count   -- the pair set's cardinality matches
 
-    A digest or window mismatch raises DigestMismatchError, and a pair box
-    whose feasible block is over ``PAIR_BOX_CELLS`` cells RefusalError, its
-    base, instead of returning a verdict.
+    Two refusals raise instead of returning a verdict.  A digest or window
+    mismatch raises DigestMismatchError before claim 1.  A pair box whose
+    feasible block is over ``PAIR_BOX_CELLS`` cells raises RefusalError,
+    its base, once claim 6 has checked every pair's stride and placed every
+    preimage in the box, and before claim 6 checks the progression pairs.
     """
     if (cert.lo, cert.hi) != (s.lo, s.hi):
         raise DigestMismatchError(
@@ -339,30 +337,37 @@ def verify_fg(
     if cert.digest != set_digest(s):
         raise DigestMismatchError("certificate digest does not match input set")
     notes: list[str] = []
+    for claim, detail in _claims(cert, s, vdw_budget, notes):
+        if detail is not None:
+            return Verdict(False, claim, detail, tuple(notes))
+    return Verdict(passed=True, notes=tuple(notes))
 
-    if is_ps_at_scale(s, Scale(cert.radius, cert.length_in)) is None:
-        return _fail(
-            "input_scale",
-            f"no run of length {cert.length_in} at radius {cert.radius}",
-            notes,
-        )
+
+def _claims(cert: FgCertificate, s: WindowSet1D, vdw_budget: int, notes: list[str]):
+    """The claims of ``verify_fg`` in its order, as (claim, detail) pairs
+    whose detail is None when the claim holds.  Each claim ends with one
+    pair, and a claim with several checks also yields at each earlier one
+    that fails.  The caller stops at the first detail, so a claim may rely
+    on every claim before it: claim 6 divides by the stride that claim 5
+    checked.  Notes are appended to ``notes`` as they arise."""
+    witness = is_ps_at_scale(s, Scale(cert.radius, cert.length_in))
+    detail = f"no run of length {cert.length_in} at radius {cert.radius}"
+    yield "input_scale", detail if witness is None else None
 
     pairs = cert.ap_pairs
     if pairs.is_empty():
-        return _fail("ap_membership", "certificate carries no pairs", notes)
+        yield "ap_membership", "certificate carries no pairs"
     ok = progressions_in(s, pairs.box, range(cert.steps + 1))
     hit = first_member(pairs.box, pairs.mask & ~ok)
-    if hit is not None:
-        return _fail("ap_membership", "pair ({}, {}) leaves the set".format(*hit), notes)
+    yield "ap_membership", (
+        None if hit is None else "pair ({}, {}) leaves the set".format(*hit)
+    )
 
-    achieved = ps_scale_2d(cert.ap_pairs, cert.radius_2d)
-    if achieved < cert.length_out:
-        return _fail(
-            "output_scale",
-            f"claimed {cert.length_out}, recomputed {achieved}",
-            notes,
-        )
+    achieved = ps_scale_2d(pairs, cert.radius_2d)
+    detail = f"claimed {cert.length_out}, recomputed {achieved}"
+    yield "output_scale", detail if achieved < cert.length_out else None
 
+    detail = None
     if cert.span_exhaustive:
         n = None
         if cert.radius == 1 and vdw_budget >= 1:
@@ -372,32 +377,24 @@ def verify_fg(
         elif not search_exceeds(cert.radius, cert.steps + 1, vdw_budget):
             res = vdw_number(cert.radius, cert.steps + 1, vdw_budget)
             n = res.n if res.exhaustive else None
-        if n is not None:
-            if n - 1 != cert.span:
-                return _fail(
-                    "vdw_witness",
-                    f"claimed span {cert.span}, recomputed {n - 1}",
-                    notes,
-                )
-        else:
+        if n is None:
             notes.append(
                 f"vdw recomputation exhausted {vdw_budget} nodes; span unchecked"
             )
+        elif n - 1 != cert.span:
+            detail = f"claimed span {cert.span}, recomputed {n - 1}"
     else:
         notes.append("span declared non-exhaustive; treated as advisory")
+    yield "vdw_witness", detail
 
-    if not (
+    in_range = (
         1 <= cert.shift <= cert.radius
         and cert.stride >= 1
         and cert.offset >= 0
         and cert.offset + cert.steps * cert.stride <= cert.span
-    ):
-        return _fail(
-            "triple_range",
-            f"triple (offset={cert.offset}, stride={cert.stride}, "
-            f"shift={cert.shift}) leaves its ranges",
-            notes,
-        )
+    )
+    triple = f"(offset={cert.offset}, stride={cert.stride}, shift={cert.shift})"
+    yield "triple_range", None if in_range else f"triple {triple} leaves its ranges"
 
     u = shifted_union_1d(s, cert.radius)
     # failures are named in pt order, which is row-major order on the mask;
@@ -411,7 +408,7 @@ def verify_fg(
     hit = first_member(pairs.box, pairs.mask & off_stride) if off_stride.any() else None
     if hit is not None:
         detail = f"pair step {hit[1]} is not a multiple of stride {cert.stride}"
-        return _fail("pair_preimage", detail, notes)
+        yield "pair_preimage", detail
     # on those columns, as preimage steps p, a pair (x, stride*p) pulls
     # back to (x - d, p) with d = offset*p + shift, whose start is the one
     # term c = -offset of the progression x - shift + c*p
@@ -420,11 +417,12 @@ def verify_fg(
     pre = (x_lo, x_hi, p_lo, p_lo + cols.shape[1])
     term = range(-cert.offset, 1 - cert.offset)
 
-    def unpulled(ok):
-        # the first pair whose preimage is not marked in ok
+    def unpulled(ok, why):
+        # the first pair whose preimage is not marked in ok, and why
         hit = first_member(pre, cols & ~ok)
         if hit is not None:
-            return f"preimage ({hit[0] - cert.offset * hit[1] - cert.shift}, {hit[1]})"
+            start = hit[0] - cert.offset * hit[1] - cert.shift
+            return f"preimage ({start}, {hit[1]}) {why}"
 
     # one walk over the preimage rows marks the preimages in the pair box,
     # and keeps each row for the progression-pair check, which may only
@@ -435,9 +433,9 @@ def verify_fg(
     for p, a, b in block_rows((bx_lo, bx_hi), (x_lo, x_hi, *ys), term, -cert.shift):
         inbox[a - x_lo : b - x_lo, p - p_lo] = True
         rows.append((p, a, b))
-    pulled = unpulled(inbox)
+    pulled = unpulled(inbox, "leaves the pair box")
     if pulled is not None:
-        return _fail("pair_preimage", f"{pulled} leaves the pair box", notes)
+        yield "pair_preimage", pulled
     (xa, xb, ya, yb), found = _pair_block(u, cert.pair_box, cert.span)
     paired = box_mask(cols.shape)
     for p, a, b in rows:
@@ -445,21 +443,11 @@ def verify_fg(
         a, b = max(a, xa + d), min(b, xb + d)
         if ya <= p < yb and a < b:
             paired[a - x_lo : b - x_lo, p - p_lo] = found[a - d - xa : b - d - xa, p - ya]
-    pulled = unpulled(paired)
-    if pulled is not None:
-        return _fail("pair_preimage", f"{pulled} is not a progression pair", notes)
+    yield "pair_preimage", unpulled(paired, "is not a progression pair")
 
     recount = int(np.count_nonzero(found))
-    if recount != cert.pair_count:
-        detail = f"claimed {cert.pair_count}, recounted {recount}"
-        return _fail("pair_count", detail, notes)
+    detail = f"claimed {cert.pair_count}, recounted {recount}"
+    yield "pair_count", detail if recount != cert.pair_count else None
 
-    if cert.ap_pairs.count != cert.class_count:
-        return _fail(
-            "class_count",
-            f"claimed {cert.class_count}, certificate carries "
-            f"{cert.ap_pairs.count} pairs",
-            notes,
-        )
-
-    return Verdict(passed=True, notes=tuple(notes))
+    detail = f"claimed {cert.class_count}, certificate carries {pairs.count} pairs"
+    yield "class_count", detail if pairs.count != cert.class_count else None

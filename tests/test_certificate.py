@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -334,6 +335,13 @@ class TestVerify:
         bad = striped_cert.with_field(class_count=striped_cert.class_count + 1)
         assert verify_fg(bad, striped_input).failed_claim == "class_count"
 
+    def test_empty_pair_set_fails_ap_membership(self, striped_cert, striped_input):
+        pairs = striped_cert.ap_pairs
+        empty = WindowSet2D(*pairs.box, np.zeros_like(pairs.mask))
+        bad = striped_cert.with_field(ap_pairs=empty)
+        want = Verdict(False, "ap_membership", "certificate carries no pairs")
+        assert verify_fg(bad, striped_input) == want
+
     def test_preimage_left_of_the_feasible_block_is_not_a_progression_pair(self):
         # the pair (3, -1) lies in s, and its preimage (2, -1) in the pair
         # box, but row -1 keeps starts from 6 on only: its terms 2 - c for
@@ -466,6 +474,51 @@ class TestVerify:
             tracemalloc.stop()
         assert elapsed < 0.5
         assert peak < 4 * 2**20
+
+    def test_refusal_and_notes_keep_their_places(self, striped_cert, striped_input):
+        # the widened box of the test above: claims before claim 6, and
+        # claim 6's pull-back into the box, fail before the refusal; claim 7
+        # comes after it, and a digest mismatch before every claim
+        s = striped_set((0, 32_000), 5, 2)
+        edge = 10**18
+        wide = fg_construct(s, 1, 1).with_field(pair_box=(-edge, edge, -edge, edge))
+        refusal = "has 2047968000 cells, over the 200000 the verifier probes"
+        for cert in (wide, wide.with_field(pair_count=wide.pair_count + 1)):
+            with pytest.raises(RefusalError, match=refusal) as refused:
+                verify_fg(cert, s)
+            assert refused.type is RefusalError
+        verdict = verify_fg(wide.with_field(length_in=wide.length_in + 10**6), s)
+        assert verdict.failed_claim == "input_scale"
+        # offset 0, stride 1 and shift 1: a pair (x, p) pulls back to (x - 1, p)
+        assert (wide.offset, wide.stride, wide.shift) == (0, 1, 1)
+        least = int(wide.ap_pairs.points()[:, 0].min()) - 1
+        cut = wide.with_field(pair_box=(least + 1, edge, -edge, edge))
+        want = Verdict(False, "pair_preimage", "preimage (-1, 0) leaves the pair box")
+        assert verify_fg(cut, s) == want
+        flipped = ("0" if wide.digest[0] != "0" else "1") + wide.digest[1:]
+        with pytest.raises(DigestMismatchError):
+            verify_fg(wide.with_field(digest=flipped), s)
+        # a note made by claim 4 rides on a later claim's failure
+        advisory = striped_cert.with_field(
+            span_exhaustive=False, pair_count=striped_cert.pair_count + 1
+        )
+        assert verify_fg(advisory, striped_input) == Verdict(
+            False,
+            "pair_count",
+            f"claimed {striped_cert.pair_count + 1}, recounted {striped_cert.pair_count}",
+            ("span declared non-exhaustive; treated as advisory",),
+        )
+
+    def test_claims_stream_in_the_documented_order(self, striped_cert, striped_input):
+        # on a passing certificate every claim yields, in the order that
+        # verify_fg's docstring lists, and none yields a detail
+        order = re.findall(r"^ +\d\. (\w+) +--", verify_fg.__doc__, re.M)
+        assert len(order) == 8
+        stream = list(certificate._claims(striped_cert, striped_input, 5_000_000, []))
+        names = [claim for claim, _ in stream]
+        assert list(dict.fromkeys(names)) == order
+        assert names == sorted(names, key=order.index)
+        assert [detail for _, detail in stream] == [None] * len(stream)
 
     def test_one_off_stride_pair_fails_pair_preimage(self, striped_cert, striped_input):
         # (1, 1) is a progression pair of the set, but its step is odd; the

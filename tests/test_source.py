@@ -106,6 +106,23 @@ def test_one_probe_and_one_set_body():
     assert sorted(defined) == sorted(shared)
 
 
+def test_one_exit_for_a_failed_claim():
+    # verify_fg turns the first failed claim of its stream into a verdict
+    # in one place: no helper builds failing verdicts, verify_fg returns
+    # only that verdict and the pass, and nothing else builds a Verdict
+    tree = ast.parse((SRC / "certificate.py").read_text())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_fail" not in defs
+    returns = [node for node in ast.walk(defs["verify_fg"]) if isinstance(node, ast.Return)]
+    assert len(returns) == 2
+    built = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Verdict"
+    ]
+    assert len(built) == 2
+
+
 def _templates(tree: ast.Module):
     """Every string literal, and every f-string with ``{}`` for each of its
     replacement fields."""
@@ -311,6 +328,24 @@ def test_vdw_runs_under_warnings_as_errors():
     done = python("-W", "error", "-m", "syndetic.cli", "vdw", "2", "3")
     assert (done.returncode, done.stderr) == (0, "")
     assert "n 9" in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("bump,code", [(0, 0), (1, 1)])
+def test_verify_is_the_same_under_python_O(tmp_path, bump, code):
+    # -O strips asserts and sets __debug__ false; the verdict and its exit
+    # code stay, on the golden pair and with pair_count raised
+    data = ROOT / "tests" / "data"
+    text = (data / "striped_5_2_w120.fgcert").read_text()
+    (count,) = [line for line in text.splitlines() if line.startswith("pair_count ")]
+    bumped = f"pair_count {int(count.split()[1]) + bump}"
+    (tmp_path / "c.fgcert").write_text(text.replace(f"\n{count}\n", f"\n{bumped}\n"))
+    (tmp_path / "s.set").write_text((data / "striped_5_2_w120.set").read_text())
+    runs = [
+        python(*flags, "-m", "syndetic.cli", "verify", "c.fgcert", "s.set", cwd=tmp_path)
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == code and runs[0].stdout
+    assert [(run.returncode, run.stdout) for run in runs[1:]] == [(code, runs[0].stdout)]
 
 
 def _options(tree: ast.Module):
