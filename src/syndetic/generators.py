@@ -37,17 +37,14 @@ def _window(params: dict) -> tuple[int, int]:
 def periodic_set(window: tuple[int, int], period: int, residues: Iterable[int]) -> WindowSet1D:
     """All m in the window with m mod period in ``residues``."""
     lo, hi = check_window(*window)
-    period = int(period)
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    period = _at_least("period", period, 1)
     res = sorted({int(r) for r in residues})
     if any(r < 0 or r >= period for r in res):
         raise ValueError(f"residues must lie in [0, {period}), got {res}")
-    # lo + i and lo % period + i agree mod period, and the latter stays
-    # in int64 wherever the window lies
-    grid = np.arange(hi - lo, dtype=np.int64) + lo % period
-    mask = np.isin(grid % period, np.asarray(res, dtype=np.int64))
-    return WindowSet1D(lo, hi, mask)
+    # residue r sits at cell (r - lo) mod period of the window's first period
+    cells = np.zeros(min(period, hi - lo), dtype=bool)
+    cells[[i for i in ((r - lo) % period for r in res) if i < cells.size]] = True
+    return _tiled(lo, hi, cells)
 
 
 def thick_blocks_set(window: tuple[int, int], block: int, gap: int) -> WindowSet1D:
@@ -58,12 +55,8 @@ def thick_blocks_set(window: tuple[int, int], block: int, gap: int) -> WindowSet
     without bound: thick-like but not syndetic.
     """
     lo, hi = check_window(*window)
-    block = int(block)
-    gap = int(gap)
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    if gap < 1:
-        raise ValueError(f"gap must be >= 1, got {gap}")
+    block = _at_least("block", block, 1)
+    gap = _at_least("gap", gap, 1)
     mask = np.zeros(hi - lo, dtype=bool)
     pos = lo
     j = 0
@@ -84,15 +77,11 @@ def striped_set(window: tuple[int, int], block: int, gap: int) -> WindowSet1D:
     at radius >= gap therefore covers a run spanning nearly the window.
     """
     lo, hi = check_window(*window)
-    block = int(block)
-    gap = int(gap)
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    if gap < 1:
-        raise ValueError(f"gap must be >= 1, got {gap}")
-    period = block + gap - 1
-    rel = np.arange(hi - lo, dtype=np.int64) % period
-    return WindowSet1D(lo, hi, rel < block)
+    block = _at_least("block", block, 1)
+    gap = _at_least("gap", gap, 1)
+    cells = np.zeros(min(block + gap - 1, hi - lo), dtype=bool)
+    cells[:block] = True
+    return _tiled(lo, hi, cells)
 
 
 def random_sparse_set(window: tuple[int, int], density: float, seed: int) -> WindowSet1D:
@@ -101,12 +90,22 @@ def random_sparse_set(window: tuple[int, int], density: float, seed: int) -> Win
     density = float(density)
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     mask = rng.random(hi - lo) < density
     return WindowSet1D(lo, hi, mask)
+
+
+def _at_least(name: str, value: int, least: int) -> int:
+    value = int(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _tiled(lo: int, hi: int, cells: np.ndarray) -> WindowSet1D:
+    """The window [lo, hi) filled with repeats of one period's cells."""
+    return WindowSet1D(lo, hi, np.tile(cells, -(-(hi - lo) // cells.size))[: hi - lo])
 
 
 def gen_example(kind: str, params: dict, seed: int) -> WindowSet1D:

@@ -396,17 +396,23 @@ def find_nontrivial_ap(s: WindowSet1D, radius: int, steps: int) -> APPair:
 
     Requires the shifted union at this radius to contain a run at least as
     long as W(radius, steps+1), which is searched for under DEFAULT_BUDGET
-    nodes; the error names the required length.
+    nodes; the error names the required length.  A union whose longest run
+    is below radius*steps + 1 is refused before any search: color c on the
+    positions [(c-1)*steps, c*steps) leaves no monochromatic progression of
+    steps + 1 terms, so W(radius, steps+1) > radius*steps.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    need = _forced_span(radius, steps, DEFAULT_BUDGET) + 1
     u = shifted_union_1d(s, radius)
+    longest = max_run_length(u)
+    if longest < radius * steps + 1:
+        raise ScalePreconditionError(radius, radius * steps + 1, longest)
+    need = _forced_span(radius, steps, DEFAULT_BUDGET) + 1
     run_start = contains_interval(u, need)
     if run_start is None:
-        raise ScalePreconditionError(radius, need, max_run_length(u))
+        raise ScalePreconditionError(radius, need, longest)
     # each union member's color is its least shift t with p + t in s
     hits = progressions_in(s, (run_start, run_start + need, 1, radius + 1), range(1, 2))
     found = hits.any(axis=1)

@@ -490,6 +490,18 @@ class TestGenCommand:
         s = load_window1d(Path(outp).read_text())
         assert s == striped_set((2**63 - 11, 2**63 - 1), 5, 2)
 
+    @pytest.mark.parametrize(
+        "params,run_line",
+        [
+            (("periodic", "--period", str(10**20), "--residues", "3"), "run 3 4"),
+            (("ps-striped", "--block", str(10**20), "--gap", "2"), "run 0 10"),
+        ],
+    )
+    def test_parameters_past_int64(self, capsys, params, run_line):
+        code, out, err = run(capsys, "gen", *params, "--window", "0", "10")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["window1d 0 10", run_line]
+
     def test_unknown_kind_rejected_by_parser(self, capsys):
         code, _, _ = run(capsys, "gen", "mystery", "--window", "0", "20")
         assert code == 64

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, strategies as st
 
 from syndetic.generators import (
     gen_example,
@@ -153,3 +156,64 @@ def test_structured_sets_at_the_int64_ends(lo):
     assert striped_set(w, 5, 3).members().tolist() == [
         m for m in range(*w) if (m - lo) % 7 < 5
     ]
+
+
+INT64_MIN = -(2**63)
+
+
+@st.composite
+def windows(draw):
+    """Windows near 0 and windows touching either int64 end."""
+    width = draw(st.integers(1, 300))
+    where = draw(st.sampled_from(["zero", "bottom", "top"]))
+    if where == "zero":
+        lo = draw(st.integers(-400, 400))
+    elif where == "bottom":
+        lo = INT64_MIN + draw(st.integers(0, 3))
+    else:
+        lo = INT64_MAX - width - draw(st.integers(0, 3))
+    return lo, lo + width
+
+
+def lengths(width):
+    """From 1 to past the window's width, plus 10^12 and a length past int64."""
+    return st.one_of(st.integers(1, 2 * width + 3), st.sampled_from([10**12, 10**20]))
+
+
+@given(st.data())
+def test_periodic_matches_its_definition(data):
+    lo, hi = data.draw(windows())
+    period = data.draw(lengths(hi - lo))
+    # residues of members of the window, so that large periods hit too
+    hits = data.draw(st.lists(st.integers(lo, hi - 1), max_size=4))
+    others = data.draw(st.lists(st.integers(0, period - 1), max_size=3))
+    res = [m % period for m in hits] + others
+    s = periodic_set((lo, hi), period, res)
+    assert s.members().tolist() == [m for m in range(lo, hi) if m % period in res]
+
+
+@given(st.data())
+def test_striped_matches_its_definition(data):
+    lo, hi = data.draw(windows())
+    block = data.draw(lengths(hi - lo))
+    gap = data.draw(lengths(hi - lo))
+    s = striped_set((lo, hi), block, gap)
+    assert s.members().tolist() == [
+        m for m in range(lo, hi) if (m - lo) % (block + gap - 1) < block
+    ]
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: striped_set(w, 5, 2),
+    lambda w: periodic_set(w, 6, [0, 2, 4]),
+])
+def test_a_million_cells_build_without_a_window_wide_grid(make):
+    window = (0, 10**6)
+    make(window)
+    tracemalloc.start()
+    try:
+        make(window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000

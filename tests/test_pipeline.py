@@ -32,7 +32,13 @@ from syndetic.pipeline import (
     pigeonhole_extract,
     progression_pairs,
 )
-from syndetic.vdw import DEFAULT_BUDGET, BudgetExhaustedError, vdw_span
+from syndetic.vdw import (
+    DEFAULT_BUDGET,
+    BudgetExhaustedError,
+    Coloring,
+    find_mono_ap,
+    vdw_span,
+)
 from syndetic.windows import (
     WindowSet1D,
     WindowSet2D,
@@ -663,6 +669,23 @@ class TestFindNontrivialAP:
             find_nontrivial_ap(s, 1, 1)
         assert err.value.required == 2
         assert "2" in str(err.value)
+
+    def test_short_union_refused_before_any_search(self, no_search):
+        # W(3, 4) = 293 is far out of reach, but a longest run of 3 is
+        # already shorter than the bound radius*steps + 1 = 10
+        s = WindowSet1D.from_members(0, 10, [3])
+        t0 = time.perf_counter()
+        with pytest.raises(ScalePreconditionError) as err:
+            find_nontrivial_ap(s, 3, 3)
+        assert time.perf_counter() - t0 < 1.0
+        assert (err.value.required, err.value.achieved) == (10, 3)
+
+    @pytest.mark.parametrize("radius,steps", [(1, 1), (2, 1), (2, 3), (3, 2), (4, 4)])
+    def test_refusal_bound_never_exceeds_the_vdw_number(self, radius, steps):
+        # color c on positions [(c-1)*steps, c*steps): no block holds
+        # steps + 1 terms, so W(radius, steps + 1) > radius*steps
+        values = tuple(c for c in range(1, radius + 1) for _ in range(steps))
+        assert find_mono_ap(Coloring(values, radius), steps + 1) is None
 
 
 class TestPartitionExtract:
