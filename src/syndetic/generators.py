@@ -65,7 +65,7 @@ def thick_blocks_set(window: tuple[int, int], block: int, gap: int) -> WindowSet
         mask[pos - lo : end - lo] = True
         pos = end + gap * (j + 1)
         j += 1
-    return WindowSet1D(lo, hi, mask)
+    return WindowSet1D._adopt(lo, hi, mask)
 
 
 def striped_set(window: tuple[int, int], block: int, gap: int) -> WindowSet1D:
@@ -92,8 +92,7 @@ def random_sparse_set(window: tuple[int, int], density: float, seed: int) -> Win
         raise ValueError(f"density must lie in (0, 1], got {density}")
     seed = _at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    mask = rng.random(hi - lo) < density
-    return WindowSet1D(lo, hi, mask)
+    return WindowSet1D._adopt(lo, hi, rng.random(hi - lo) < density)
 
 
 def _at_least(name: str, value: int, least: int) -> int:
@@ -105,7 +104,8 @@ def _at_least(name: str, value: int, least: int) -> int:
 
 def _tiled(lo: int, hi: int, cells: np.ndarray) -> WindowSet1D:
     """The window [lo, hi) filled with repeats of one period's cells."""
-    return WindowSet1D(lo, hi, np.tile(cells, -(-(hi - lo) // cells.size))[: hi - lo])
+    w = hi - lo
+    return WindowSet1D._adopt(lo, hi, np.tile(cells, -(-w // cells.size))[:w])
 
 
 def gen_example(kind: str, params: dict, seed: int) -> WindowSet1D:

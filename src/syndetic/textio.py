@@ -277,4 +277,4 @@ def load_window1d(text: str) -> WindowSet1D:
     np.add.at(cover, runs[:, 0] - lo, np.int32(1))
     np.add.at(cover, runs[:, 1] - lo, np.int32(-1))
     np.cumsum(cover, out=cover)
-    return WindowSet1D(lo, hi, cover[:-1] > 0)
+    return WindowSet1D._adopt(lo, hi, cover[:-1] > 0)

@@ -14,19 +14,21 @@ depth (children in ascending color order) is the lexicographically least
 extremal one.
 
 One color needs no search: W(1, terms) = terms, and neither does one
-term: W(colors, 1) = 1.  ``vdw_number`` answers both with the result,
-node count and budget cut-off the search would give.
+term: W(colors, 1) = 1.  ``_unsearched`` states both answers as the
+depth, node count and budget cut-off the search would give: ``vdw_number``
+builds its coloring from them, and ``vdw_span`` reads only the numbers.
 
-A node is one bit test.  Per color the search keeps an int of forbidden
-positions: placing color c at i forbids i + d for each step d whose terms
-i - d, .., i - (terms - 2)d all have color c.  Those steps are one AND of
-residue-class masks of c, shifted so that step d lands at bit d, so a
-placement costs O(terms) int operations.  A per-position plan names the
-slots of each position's classes, and each class keeps the shift of its
-next position, so no node divides.  Backtracking restores the forbidden
-int from an undo stack: the search holds O(depth**2) bits there plus
-O(colors * top * terms) pointers in its plan and classes, where top < 2 *
-depth, and none of the latter until top reaches terms - 2.
+A node is one bit test.  Per color it reaches the search keeps an int of
+forbidden positions: placing color c at i forbids i + d for each step d
+whose terms i - d, .., i - (terms - 2)d all have color c.  Those steps are
+one AND of residue-class masks of c, shifted so that step d lands at bit
+d, so a placement costs O(terms) int operations.  A per-position plan
+names the slots of each position's classes, and each class keeps the
+shift of its next position, so no node divides.  Backtracking restores
+the forbidden int from an undo stack: the search holds O(depth**2) bits
+there plus O(reached * top * terms) pointers in its plan and classes,
+where reached <= depth + 1 colors and top < 2 * depth, and none of the
+latter until top reaches terms - 2.
 ``syndetic vdw 2 21 --budget 10000`` reaches depth 8,121 in about 0.12 s
 in-process at 22 MB peak RSS on a shared 2-vCPU Xeon, 0.08 s of it the
 search and 8 ms the final ``find_mono_ap`` check.
@@ -193,25 +195,16 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
     is reused only when the caller's budget would have covered the
     original search, so budget semantics are unchanged.
     """
-    if colors < 1:
-        raise ValueError(f"colors must be >= 1, got {colors}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-
+    known = _unsearched(colors, terms, budget)
     cached = _EXHAUSTIVE_CACHE.get((colors, terms))
     if cached is not None and cached.budget_spent <= budget:
         return cached
 
-    if colors == 1 or terms == 1:
-        # W(1, terms) = terms and W(colors, 1) = 1, answered as the search
-        # would: it places color 1 at one new position per node until
-        # position terms - 1 closes a progression, or the budget runs out
-        best, nodes = [1] * min(terms - 1, budget), min(terms, budget)
-        exhausted = budget < terms
-    else:
+    if known is None:
         best, nodes, exhausted = _search(colors, terms, budget)
+    else:
+        depth, nodes, exhausted = known
+        best = [1] * depth
 
     extremal = Coloring(tuple(best), colors)
     if find_mono_ap(extremal, terms) is not None:
@@ -225,6 +218,23 @@ def vdw_number(colors: int, terms: int, budget: int = DEFAULT_BUDGET) -> VdwResu
     if result.exhaustive:
         _EXHAUSTIVE_CACHE[(colors, terms)] = result
     return result
+
+
+def _unsearched(colors: int, terms: int, budget: int) -> tuple[int, int, bool] | None:
+    """Check vdw_number's arguments, then answer one color or one term as
+    the search would: it places color 1 at one new position per node until
+    position terms - 1 closes a progression (W(1, terms) = terms and
+    W(colors, 1) = 1) or the budget runs out.  The depth reached, the nodes
+    spent and whether the budget ran out; None when the search must run."""
+    if colors < 1:
+        raise ValueError(f"colors must be >= 1, got {colors}")
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if colors > 1 and terms > 1:
+        return None
+    return min(terms - 1, budget), min(terms, budget), budget < terms
 
 
 def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]:
@@ -250,19 +260,21 @@ def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]
     then filled from the placed positions: before it no position i <= top
     has a step d >= 1 with i - (terms - 2)d >= 0, so no placement forbids
     anything.  The classes and the plan, extended at each re-anchor, hold
-    O(colors * top * terms) pointers however far terms exceeds the depth.
+    O(reached * top * terms) pointers however far terms exceeds the depth:
+    a color's bad[c] and classes[c] are made when the limit first reaches
+    it, which restricted growth bounds by depth + 1.
 
     Backtracking pops (color, bad[color], color limit) off one stack, whose
     saved bad[c] hold O(depth**2) bits.  best is copied from it only when
     the walk leaves, or stops at, the first prefix of a new depth."""
-    classes: list[list[int]] = [[] for _ in range(colors + 1)]
+    classes: list[list[int]] = [[], []]
     shift: list[int] = []
     rows: list[list[int]] = []  # rows[k - 1]: the slots of step k's classes
     plan: list[tuple[int, ...]] = []
     # the AND while no class is kept
     unkept = -2 if terms == 2 else 0
     top = 0
-    bad = [0] * (colors + 1)
+    bad = [0, 0]
     stack: list[tuple[int, int, int]] = []
     best: list[int] = []
     i = 0  # len(stack), the position tried next
@@ -342,6 +354,11 @@ def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]
         i += 1
         if c == limit < colors:
             limit += 1
+            if limit == len(bad):
+                # the first placement that lets this color in: its state
+                # starts empty, as an undone color's returns to empty
+                bad.append(0)
+                classes.append([0] * len(shift))
         c = 1
     if i > len(best):
         best = [e[0] for e in stack]
@@ -350,11 +367,14 @@ def _search(colors: int, terms: int, budget: int) -> tuple[list[int], int, bool]
 
 def vdw_span(colors: int, steps: int, budget: int = DEFAULT_BUDGET) -> SpanResult:
     """Span such that any coloring of indices 0..span contains a
-    monochromatic progression with steps+1 terms: W(colors, steps+1) - 1."""
-    res = vdw_number(colors, steps + 1, budget)
-    return SpanResult(
-        span=res.n - 1, exhaustive=res.exhaustive, budget_spent=res.budget_spent
-    )
+    monochromatic progression with steps+1 terms: W(colors, steps+1) - 1.
+    One color or no step builds no coloring."""
+    known = _unsearched(colors, steps + 1, budget)
+    if known is None:
+        res = vdw_number(colors, steps + 1, budget)
+        known = res.n - 1, res.budget_spent, not res.exhaustive
+    span, nodes, exhausted = known
+    return SpanResult(span=span, exhaustive=not exhausted, budget_spent=nodes)
 
 
 def dump_coloring(c: Coloring) -> str:

@@ -11,7 +11,7 @@ first, but stored step-major (Fortran order), so that the start axis is
 contiguous.  The pipeline's boxes are thousands of starts wide and at most
 33 steps tall, so numpy's inner loops then run thousands of cells at a
 time, not at most 33.  ``box_mask`` allocates every 2D mask the package
-builds; ``WindowSet2D`` adopts the construction's uncopied, copies others.
+builds; a 1D or 2D set adopts the package's masks uncopied, copies others.
 
 One doubling dilation builds the shifted union in Z and in Z^2 alike:
 the union of shifts by 1..r marks where a side-r interval or square meets
@@ -134,11 +134,35 @@ def box_mask(shape) -> np.ndarray:
 
 
 class _WindowSet:
-    """The body a 1D and a 2D set share: a read-only mask, and equality
-    and hashing keyed on the class's ``_extent`` (its bounds) and mask, so
-    a 1D set never equals a 2D one."""
+    """The body a 1D and a 2D set share: a read-only mask it owns, and
+    equality and hashing keyed on the class's ``_extent`` (its bounds) and
+    mask, so a 1D set never equals a 2D one.  A public constructor binds a
+    copy of the caller's mask; ``_adopt``, a mask the package just built
+    (C-contiguous in 1D, as ``term_views`` reads its buffer)."""
 
     __slots__ = ("_mask",)
+
+    @classmethod
+    def _adopt(cls, *bounds_and_mask):
+        """The set on a mask the package just built for it, uncopied."""
+        self = object.__new__(cls)
+        self._bind(*bounds_and_mask)
+        return self
+
+    def _bind(self, *bounds_and_mask) -> None:
+        """Bind the bounds, one per slot, and the mask, made read-only."""
+        *bounds, mask = bounds_and_mask
+        spans = list(zip(bounds[::2], bounds[1::2]))
+        if mask.shape != tuple(hi - lo for lo, hi in spans):
+            where = " x ".join(f"[{lo}, {hi})" for lo, hi in spans)
+            raise WindowError(f"mask of shape {mask.shape} does not fit {self._noun} {where}")
+        mask.setflags(write=False)
+        for name, value in zip(self.__slots__, bounds):
+            setattr(self, name, value)
+        self._mask = mask
+
+    def _extent(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     @property
     def mask(self) -> np.ndarray:
@@ -166,18 +190,10 @@ class WindowSet1D(_WindowSet):
     """Subset of the integer window [lo, hi), one bit per integer."""
 
     __slots__ = ("lo", "hi")
+    _noun = "window"
 
     def __init__(self, lo: int, hi: int, mask: np.ndarray):
-        lo, hi = _bounds(lo, hi)
-        arr = np.array(mask, dtype=bool, copy=True)
-        if arr.shape != (hi - lo,):
-            raise WindowError(
-                f"mask of shape {arr.shape} does not fit window [{lo}, {hi})"
-            )
-        arr.setflags(write=False)
-        self.lo = lo
-        self.hi = hi
-        self._mask = arr
+        self._bind(*_bounds(lo, hi), np.array(mask, dtype=bool, copy=True))
 
     @classmethod
     def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "WindowSet1D":
@@ -189,10 +205,7 @@ class WindowSet1D(_WindowSet):
                 bad = pts[(pts < lo) | (pts >= hi)][0]
                 raise WindowError(f"member {bad} outside window [{lo}, {hi})")
             arr[pts - lo] = True
-        return cls(lo, hi, arr)
-
-    def _extent(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
+        return cls._adopt(lo, hi, arr)
 
     @property
     def width(self) -> int:
@@ -216,6 +229,7 @@ class WindowSet2D(_WindowSet):
     indexed [x - x_lo, y - y_lo] and stored step-major."""
 
     __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi")
+    _noun = "box"
 
     def __init__(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int, mask: np.ndarray):
         x_lo = _as_int("x_lo", x_lo)
@@ -226,29 +240,11 @@ class WindowSet2D(_WindowSet):
             raise WindowError(
                 f"box [{x_lo}, {x_hi}) x [{y_lo}, {y_hi}) is empty"
             )
-        arr = np.array(mask, dtype=bool, copy=True, order="F")
-        if arr.shape != (x_hi - x_lo, y_hi - y_lo):
-            raise WindowError(
-                f"mask of shape {arr.shape} does not fit box "
-                f"[{x_lo}, {x_hi}) x [{y_lo}, {y_hi})"
-            )
-        arr.setflags(write=False)
-        self.x_lo, self.x_hi, self.y_lo, self.y_hi, self._mask = x_lo, x_hi, y_lo, y_hi, arr
-
-    @classmethod
-    def _adopt(cls, x_lo: int, x_hi: int, y_lo: int, y_hi: int, mask: np.ndarray):
-        """The set on a mask the package just built for it, read-only, uncopied."""
-        mask.setflags(write=False)
-        self = object.__new__(cls)
-        self.x_lo, self.x_hi, self.y_lo, self.y_hi, self._mask = x_lo, x_hi, y_lo, y_hi, mask
-        return self
+        self._bind(x_lo, x_hi, y_lo, y_hi, np.array(mask, dtype=bool, copy=True, order="F"))
 
     @property
     def box(self) -> tuple[int, int, int, int]:
         return (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
-
-    def _extent(self) -> tuple[int, int, int, int]:
-        return self.box
 
     def points(self) -> np.ndarray:
         """Members as an (n, 2) int64 array, sorted lexicographically."""
@@ -436,7 +432,7 @@ def shifted_union_1d(s: WindowSet1D, radius: int) -> WindowSet1D:
     m is a member iff m+t is a member of s for some t in 1..radius.
     """
     sq = _union_of_shifts(s.mask, radius)
-    return WindowSet1D(s.lo - int(radius), s.hi - 1, sq)
+    return WindowSet1D._adopt(s.lo - int(radius), s.hi - 1, sq)
 
 
 def is_ps_at_scale(s: WindowSet1D, scale: Scale) -> PSWitness1D | None:

@@ -179,6 +179,16 @@ class TestConstructAndVerify:
             assert code == 2
             assert "exhausted its budget" in err
 
+    def test_one_color_budget_cut_exits_two(self, tmp_path, capsys):
+        setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
+        argv = ("construct", setp, "1", str(10**12), "--budget", str(4 * 10**6))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: van der Waerden search for 1 colors and 1000000000001 terms "
+            "exhausted its budget of 4000000 nodes\n"
+        )
+
     def test_radius_2d_checked_before_the_search(self, tmp_path, capsys):
         setp = write_set(tmp_path, "s.set", striped_set((0, 200), 5, 2))
         argv = ("construct", setp, "2", "2", "--r2d", "0", "--budget", "1")

@@ -554,6 +554,23 @@ class TestFgConstruct:
         with pytest.raises(BudgetExhaustedError):
             fg_construct(s, 2, 2, budget=3)
 
+    def test_one_color_span_builds_no_coloring(self):
+        # the one-color answer is a depth and a node count: a coloring of
+        # the 4 million positions the budget reaches peaked at 98 MB
+        s = striped_set((0, 200), 5, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExhaustedError) as err:
+                fg_construct(s, 1, 10**12, budget=4 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "van der Waerden search for 1 colors and 1000000000001 terms "
+            "exhausted its budget of 4000000 nodes"
+        )
+        assert peak < 1_000_000
+
     def test_radius_2d_checked_before_the_search(self, no_search):
         s = striped_set((0, 200), 5, 2)
         for radius, steps, budget in [(3, 3, DEFAULT_BUDGET), (2, 2, 1)]:

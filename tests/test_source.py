@@ -106,6 +106,22 @@ def test_one_probe_and_one_set_body():
     assert sorted(defined) == sorted(shared)
 
 
+def test_the_package_adopts_the_sets_it_builds():
+    # a set's public constructor copies the caller's mask; every set the
+    # package builds adopts its fresh mask through _WindowSet._adopt, the
+    # one body that checks, freezes and binds a mask
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "WindowSet1D", "WindowSet2D", "cls"
+            ):
+                found.append(f"{path.name}:{node.lineno} calls {node.func.id}")
+            if isinstance(node, ast.FunctionDef) and node.name in ("_adopt", "_bind"):
+                found.append(f"{path.name} defines {node.name}")
+    assert found == ["windows.py defines _adopt", "windows.py defines _bind"]
+
+
 def test_one_exit_for_a_failed_claim():
     # verify_fg turns the first failed claim of its stream into a verdict
     # in one place: no helper builds failing verdicts, verify_fg returns

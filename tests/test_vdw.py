@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -13,6 +14,7 @@ from syndetic.vdw import (
     APIndex,
     Coloring,
     MonoAP,
+    SpanResult,
     find_mono_ap,
     search_exceeds,
     vdw_number,
@@ -276,6 +278,21 @@ class TestRestrictedGrowth:
         assert peak < 2_000_000
         assert elapsed < 0.5
 
+    def test_state_is_kept_per_color_reached(self):
+        # 10 nodes let in at most 11 colors; keeping state for every allowed
+        # color peaked at 8.4 MB for this call, and needs about 9 GB at 10**8
+        tracemalloc.start()
+        try:
+            res = vdw_number(10**5, 3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        few = vdw_number(11, 3, 10)
+        assert (res.n, res.extremal.values, res.exhaustive, res.budget_spent) == (
+            few.n, few.extremal.values, few.exhaustive, few.budget_spent
+        )
+
 
 class TestCappedSearches:
     @pytest.mark.parametrize("colors, terms, budget", list(CAPPED_PINS))
@@ -319,6 +336,21 @@ class TestOneColor:
 class TestVdwSpan:
     def test_single_color(self):
         assert vdw_span(1, 2).span == 2
+
+    @pytest.mark.parametrize("steps", range(12))
+    def test_one_color_span_is_the_one_color_number(self, steps):
+        for budget in range(1, 15):
+            res = vdw_number(1, steps + 1, budget)
+            assert vdw_span(1, steps, budget) == SpanResult(
+                span=res.n - 1, exhaustive=res.exhaustive, budget_spent=res.budget_spent
+            )
+
+    @pytest.mark.parametrize("colors, steps, budget", [(0, 2, 5), (1, -1, 5), (1, 2, 0)])
+    def test_argument_errors_are_those_of_vdw_number(self, colors, steps, budget):
+        with pytest.raises(ValueError) as want:
+            vdw_number(colors, steps + 1, budget)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            vdw_span(colors, steps, budget)
 
     def test_two_colors_two_steps(self):
         got = vdw_span(2, 2)

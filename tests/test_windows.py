@@ -81,13 +81,20 @@ class TestWindowSet1D:
             s.contains(5)
 
     def test_mask_is_immutable(self):
-        # the set copies the caller's array, and its own mask is read-only
-        given = np.ones(4, dtype=bool)
-        s = WindowSet1D(0, 4, given)
-        given[0] = False
-        assert s.count == 4
-        with pytest.raises(ValueError):
-            s.mask[0] = False
+        # the set copies the caller's array, contiguous or strided, into a
+        # contiguous mask of its own that is read-only
+        for given in (np.ones(4, bool), np.ones(8, bool)[::2]):
+            s = WindowSet1D(0, 4, given)
+            given[0] = False
+            assert s.count == 4 and s.mask.flags.c_contiguous
+            with pytest.raises(ValueError):
+                s.mask[0] = False
+
+    def test_adopt_refuses_a_mask_of_another_shape(self):
+        with pytest.raises(
+            WindowError, match=r"mask of shape \(3,\) does not fit window \[0, 4\)"
+        ):
+            WindowSet1D._adopt(0, 4, np.ones(3, bool))
 
     def test_equality_and_members(self):
         a = WindowSet1D.from_members(-2, 3, [-2, 0])
@@ -515,12 +522,20 @@ class TestWindowSet2D:
             WindowSet2D(0, 0, 0, 5, np.zeros((0, 5), bool))
 
     def test_mask_is_immutable(self):
-        given = np.ones((3, 2), dtype=bool)
-        m = WindowSet2D(0, 3, 0, 2, given)
-        given[0, 0] = False
-        assert m.count == 6
-        with pytest.raises(ValueError):
-            m.mask[0, 0] = False
+        # the set copies the caller's array, contiguous or strided, into a
+        # step-major mask of its own that is read-only
+        for given in (np.ones((3, 2), bool), np.ones((6, 4), bool)[::2, 1::2]):
+            m = WindowSet2D(0, 3, 0, 2, given)
+            given[0, 0] = False
+            assert m.count == 6 and m.mask.flags.f_contiguous
+            with pytest.raises(ValueError):
+                m.mask[0, 0] = False
+
+    def test_adopt_refuses_a_mask_of_another_shape(self):
+        with pytest.raises(
+            WindowError, match=r"mask of shape \(2, 3\) does not fit box \[0, 3\) x \[0, 2\)"
+        ):
+            WindowSet2D._adopt(0, 3, 0, 2, np.ones((2, 3), bool))
 
     def test_points_sorted_lexicographically(self):
         m = WindowSet2D(*naive.points_in_box(0, 4, 0, 4, [(2, 1), (0, 3), (2, 0)]))
